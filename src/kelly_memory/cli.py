@@ -61,12 +61,31 @@ def _resolve_seed(arg_seed: int | None) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _fmt(x: float, sig: int) -> str:
+    if not math.isfinite(x):
+        raise NumericalError(f"result {x} is not finite")
     return f"{x:.{sig}g}"
 
 
 def _jround(x: float, sig: int) -> float:
     return float(f"{x:.{sig}g}")
+
+
+def _json_line(payload: dict) -> str:
+    try:
+        return json.dumps(payload, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalError("result is not finite, so it has no JSON form") from None
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -112,7 +131,7 @@ def cmd_kelly(args) -> str:
             "kinf": _jround(kstar, sig),
             "kvec": [_jround(k, sig) for k in kvec],
         }
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     sig = args.precision or CSV_SIG_DIGITS
     rows = [
         ["kstar", _fmt(kstar, sig)],
@@ -148,7 +167,7 @@ def cmd_elg(args) -> str:
             "elg": _jround(value, sig),
             "unit": unit,
         }
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     sig = args.precision or CSV_SIG_DIGITS
     rows = [[f"k_{i}", _fmt(k, sig)] for i, k in enumerate(pol.fractions)]
     rows.append(["elg", _fmt(value, sig)])
@@ -175,7 +194,7 @@ def cmd_scenario(args) -> str:
                 for row in table
             ]
         }
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     sig = args.precision or CSV_SIG_DIGITS
     rows = [
         [
@@ -224,7 +243,7 @@ def cmd_simulate(args) -> str:
                 for s in result.stats
             ],
         }
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     sig = args.precision or CSV_SIG_DIGITS
     rows = [
         [
@@ -260,7 +279,7 @@ def cmd_estimate(args) -> str:
     payload = fit.as_json_dict()
     payload["omega"] = [_jround(w, sig) for w in payload["omega"]]
     payload["rss"] = _jround(payload["rss"], sig)
-    return json.dumps(payload) + "\n"
+    return _json_line(payload)
 
 
 def cmd_ingest(args) -> str:
@@ -269,8 +288,15 @@ def cmd_ingest(args) -> str:
     return "".join("+1\n" if v == 1 else "-1\n" for v in moves)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, as main reports every other error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kelly-memory",
         description="Kelly-optimal bet sizing for coins with Markov memory.",
     )
@@ -298,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--out", default=None, help="write output atomically to this path")
         p.add_argument(
-            "--precision", type=int, default=None, help="significant digits in output"
+            "--precision",
+            type=_positive_int,
+            default=None,
+            help="significant digits in output",
         )
 
     p = sub.add_parser("kelly", help="optimal betting fractions")

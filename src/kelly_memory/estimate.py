@@ -12,6 +12,7 @@ file formats consumed by the CLI.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -89,8 +90,9 @@ def ingest_prices(prices: Sequence[float], tie_rule: str = "drop") -> np.ndarray
     if tie_rule not in ("drop", "up", "down"):
         raise DomainError(f"unknown tie rule {tie_rule!r}")
     prices = [float(p) for p in prices]
-    if any(p <= 0 for p in prices):
-        raise DomainError("prices must be positive")
+    # NaN fails both comparisons, so this one pass rejects it too.
+    if not all(0.0 < p < math.inf for p in prices):
+        raise DomainError("prices must be positive and finite")
     moves = []
     for prev, cur in zip(prices, prices[1:]):
         if cur > prev:

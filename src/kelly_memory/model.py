@@ -15,13 +15,18 @@ plus a brute-force path-enumeration oracle for cross-checks.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    DomainError,
     HorizonTooLarge,
     HyperdiamondViolation,
     UnsupportedDepth,
@@ -50,6 +55,9 @@ class MemoryParams:
             raise DimensionMismatch(
                 f"omega has length {len(self.omega)}, expected m+1 = {self.m + 1}"
             )
+        # NaN fails every comparison, so it would slip past the excess test.
+        if not all(math.isfinite(w) for w in self.omega):
+            raise DomainError(f"omega coefficients must be finite, got {self.omega}")
         excess = self.l1_distance - (0.5 - EPS_MARGIN)
         if excess > 0:
             raise HyperdiamondViolation(excess)
@@ -107,6 +115,17 @@ class GameSpec:
             )
         if self.n < 1:
             raise DimensionMismatch(f"horizon must be >= 1, got {self.n}")
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Read-only [p_0, ..., p_{n-1}] from one prob_sequence pass.
+
+        Computed on first use and shared by every analytic quantity of this
+        game, so one request walks the p_k recursion once.
+        """
+        p = prob_sequence(self)
+        p.flags.writeable = False
+        return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,21 +185,24 @@ def cond_prob(params: MemoryParams, window: Sequence[int]) -> float:
 
 
 def prob_sequence(spec: GameSpec) -> np.ndarray:
-    """Unconditional head probabilities [p_0, ..., p_{n-1}].
+    """Unconditional head probabilities [p_0, ..., p_{n-1}] in one O(n m) pass.
 
     Propagates p_k = w0 - sum wi + 2 sum wi p_{k-i}, seeded with the induced
-    initial conditions p_{-i} = (x_{-i} + 1)/2.
+    initial conditions p_{-i} = (x_{-i} + 1)/2. p_k does not depend on the
+    horizon, so every horizon up to n reads a prefix of this one array. The
+    loop runs on Python floats: a numpy call per step costs more than the
+    m multiply-adds it would do.
     """
-    w = spec.params.lag_weights
-    drift = spec.params.omega[0] - w.sum()
+    w = spec.params.omega[1:]
+    drift = spec.params.omega[0] - sum(w)
     # lags[i-1] holds p_{k-i}; starts at the induced initial conditions.
-    lags = list(spec.history.induced_probs)
-    out = np.empty(spec.n)
+    lags = deque(spec.history.induced_probs, maxlen=spec.params.m)
+    out = [0.0] * spec.n
     for k in range(spec.n):
-        p = drift + 2.0 * float(w @ lags)
+        p = drift + 2.0 * sum(map(mul, w, lags))
         out[k] = p
-        lags = [p] + lags[:-1]
-    return out
+        lags.appendleft(p)
+    return np.array(out)
 
 
 def closed_form_p_k(params: MemoryParams, p0: float, k: int) -> float:
@@ -213,7 +235,7 @@ def lambda_n(params: MemoryParams, n: int) -> float:
 
 def expected_heads(spec: GameSpec) -> float:
     """Expected number of heads over the horizon, sum_k p_k."""
-    return float(prob_sequence(spec).sum())
+    return float(spec.probs.sum())
 
 
 def state_space(params: MemoryParams, history: History) -> StateSpace:

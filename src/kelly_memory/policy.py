@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import model
 from .errors import DimensionMismatch, DomainError
 
@@ -82,6 +84,8 @@ class PayoffModel:
             raise DimensionMismatch("need at least two outcomes")
         if len(self.outcomes) != len(self.frequencies):
             raise DimensionMismatch("outcomes and frequencies differ in length")
+        if not all(math.isfinite(v) for v in self.outcomes + self.frequencies):
+            raise DomainError("outcomes and frequencies must be finite")
         # -1 itself is allowed: it is the even-money loss, kept feasible by
         # the log barrier K < 1.
         if any(x < -1.0 for x in self.outcomes):
@@ -122,7 +126,7 @@ def kelly_limit(params: model.MemoryParams) -> float:
 
 def kelly_timevarying(spec: model.GameSpec) -> BettorPolicy:
     """Per-stage optimal vector (2 p_0 - 1, ..., 2 p_{n-1} - 1)."""
-    return BettorPolicy.varying(2.0 * model.prob_sequence(spec) - 1.0)
+    return BettorPolicy.varying(2.0 * spec.probs - 1.0)
 
 
 def elg_time_invariant(spec: model.GameSpec, k: float) -> float:
@@ -134,21 +138,23 @@ def elg_time_invariant(spec: model.GameSpec, k: float) -> float:
 
 
 def elg_time_varying(spec: model.GameSpec, policy: BettorPolicy) -> float:
-    """Analytic ELG of a pre-committed fraction vector.
+    """Analytic ELG of a pre-committed fraction vector, in one O(n) pass.
 
-    A time-invariant policy is scored as the equivalent constant vector, so
+    The mean over stages of p_k log(1 + K_k) + (1 - p_k) log(1 - K_k),
+    evaluated on whole arrays over the game's one p_k sequence. A
+    time-invariant policy is scored as the equivalent constant vector, so
     this agrees with elg_time_invariant in that case.
     """
-    if policy.kind is PolicyKind.TIME_VARYING and len(policy.fractions) != spec.n:
-        raise DimensionMismatch(
-            f"policy length {len(policy.fractions)} != horizon {spec.n}"
-        )
-    probs = model.prob_sequence(spec)
-    total = 0.0
-    for k in range(spec.n):
-        f = policy.fraction_at(k)
-        total += probs[k] * math.log1p(f) + (1.0 - probs[k]) * math.log1p(-f)
-    return total / spec.n
+    if policy.kind is PolicyKind.TIME_VARYING:
+        if len(policy.fractions) != spec.n:
+            raise DimensionMismatch(
+                f"policy length {len(policy.fractions)} != horizon {spec.n}"
+            )
+        ks = np.asarray(policy.fractions)
+    else:
+        ks = policy.fractions[0]
+    probs = spec.probs
+    return float(np.sum(probs * np.log1p(ks) + (1.0 - probs) * np.log1p(-ks))) / spec.n
 
 
 def elg_multioutcome(payoff: PayoffModel, k: float) -> float:

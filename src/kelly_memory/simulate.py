@@ -219,24 +219,30 @@ def scenario_table(
 
     The long-run bettor ignores temporal correlation and always bets
     2 p_inf - 1; the other two use the horizon-optimal constant fraction
-    and the per-stage optimal vector.
+    and the per-stage optimal vector. p_k does not depend on the horizon,
+    so the whole table is one p_k pass plus prefix sums, O(n_max): with
+    h_n = (p_0 + ... + p_{n-1})/n, K_n = 2 h_n - 1, a constant K earns
+    h_n log(1 + K) + (1 - h_n) log(1 - K), and the vector bettor earns
+    the running mean of p_k log(2 p_k) + (1 - p_k) log(2 (1 - p_k)).
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     kstar = policy_mod.kelly_limit(params)
-    rows = []
-    for n in range(1, n_max + 1):
-        spec = model.GameSpec(params=params, history=history, n=n)
-        kn = policy_mod.kelly_horizon(spec)
-        kvec = policy_mod.kelly_timevarying(spec)
-        rows.append(
-            ScenarioRow(
-                n=n,
-                elg_kstar=policy_mod.elg_time_invariant(spec, kstar),
-                elg_kn=policy_mod.elg_time_invariant(spec, kn),
-                elg_kvec=policy_mod.elg_time_varying(spec, kvec),
-                kstar=kstar,
-                kn=kn,
-            )
+    p = model.prob_sequence(model.GameSpec(params=params, history=history, n=n_max))
+    horizons = np.arange(1, n_max + 1)
+    h = np.cumsum(p) / horizons
+    kn = 2.0 * h - 1.0
+    elg_kstar = h * math.log1p(kstar) + (1.0 - h) * math.log1p(-kstar)
+    elg_kn = h * np.log1p(kn) + (1.0 - h) * np.log1p(-kn)
+    stage_kvec = p * np.log1p(2.0 * p - 1.0) + (1.0 - p) * np.log1p(1.0 - 2.0 * p)
+    elg_kvec = np.cumsum(stage_kvec) / horizons
+    return [
+        ScenarioRow(n=n, elg_kstar=a, elg_kn=b, elg_kvec=c, kstar=kstar, kn=k)
+        for n, a, b, c, k in zip(
+            horizons.tolist(),
+            elg_kstar.tolist(),
+            elg_kn.tolist(),
+            elg_kvec.tolist(),
+            kn.tolist(),
         )
-    return rows
+    ]

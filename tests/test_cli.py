@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kelly_memory import cli
@@ -334,3 +335,56 @@ class TestOutputFiles:
         )
         assert code == 0
         assert json.loads(out)["kstar"] == 0.167
+
+
+class TestRejectedInput:
+    """Invalid input ends with exit 2 (or 3) and one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("elg", "--omega", "nan,0.1", "--history", "+1", "--n", "2", "--k", "0.1"),
+            ("scenario", "--omega", "nan,0.1", "--history", "+1", "--n", "3"),
+            ("kelly", "--omega", "0.55,inf", "--history", "+1", "--n", "2"),
+        ],
+    )
+    def test_non_finite_omega(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "omega" in err
+
+    @pytest.mark.parametrize("price", ["inf", "nan"])
+    def test_non_finite_price(self, capsys, tmp_path, price):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"price\n1\n2\n{price}\n3\n")
+        code, out, err = run(capsys, "ingest", str(prices))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_precision_must_be_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main([
+                "kelly", "--omega", "0.55,0.20", "--history", "+1", "--n", "2",
+                "--precision", value,
+            ])
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--precision" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_result_is_not_printed(self, capsys, fmt):
+        # Final account values overflow to inf over 20000 winning bets; numpy
+        # warns about that before the renderer refuses the result.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(
+                capsys,
+                "simulate", "--omega", "0.9,0", "--history", "+1", "--n", "20000",
+                "--k", "0.99", "--paths", "10", "--format", fmt,
+            )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "finite" in err

@@ -56,6 +56,11 @@ class TestIngestPrices:
         with pytest.raises(DomainError):
             estimate.ingest_prices([100, -5, 101])
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_price(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            estimate.ingest_prices([1.0, 2.0, bad, 3.0])
+
     def test_unknown_rule(self):
         with pytest.raises(DomainError):
             estimate.ingest_prices([1, 2], tie_rule="flip")

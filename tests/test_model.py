@@ -8,6 +8,7 @@ import bruteforce
 from kelly_memory import model
 from kelly_memory.errors import (
     DimensionMismatch,
+    DomainError,
     HorizonTooLarge,
     HyperdiamondViolation,
     UnsupportedDepth,
@@ -59,6 +60,15 @@ class TestValidateParams:
         with pytest.raises(DimensionMismatch):
             model.validate_params([0.5], m=0)
 
+    @pytest.mark.parametrize(
+        "omega", [[math.nan, 0.1], [0.5, math.nan], [math.inf, 0.1], [0.5, -math.inf]]
+    )
+    def test_non_finite_rejected(self, omega):
+        # NaN compares False with everything, so the excess test alone
+        # would let it through.
+        with pytest.raises(DomainError, match="omega"):
+            model.validate_params(omega)
+
     def test_m1_matches_interval_conditions(self):
         # Depth 1: the diamond is equivalent to |w1| < 0.5 and
         # |w1| < w0 < 1 - |w1|. Check both classifiers agree away from the
@@ -90,6 +100,13 @@ class TestHistoryAndSpec:
             model.GameSpec(params=params, history=model.History((1, -1)), n=2)
         with pytest.raises(DimensionMismatch):
             model.GameSpec(params=params, history=model.History((1,)), n=0)
+
+    def test_probs_is_one_read_only_pass(self):
+        spec = make_spec([0.55, 0.20], [1], n=5)
+        assert spec.probs is spec.probs
+        np.testing.assert_array_equal(spec.probs, model.prob_sequence(spec))
+        with pytest.raises(ValueError):
+            spec.probs[0] = 0.5
 
     def test_induced_probs(self):
         assert model.History((1, -1, 1)).induced_probs == (1.0, 0.0, 1.0)

@@ -266,6 +266,10 @@ class TestPayoffModel:
             policy.PayoffModel(outcomes=(1.0, -1.5), frequencies=(0.5, 0.5))
         with pytest.raises(DomainError):
             policy.PayoffModel(outcomes=(1.0, -1.0), frequencies=(1.2, -0.2))
+        with pytest.raises(DomainError):
+            policy.PayoffModel(outcomes=(1.0, -1.0), frequencies=(math.nan, 0.5))
+        with pytest.raises(DomainError):
+            policy.PayoffModel(outcomes=(math.inf, -1.0), frequencies=(0.5, 0.5))
 
 
 class TestElgMultiOutcome:

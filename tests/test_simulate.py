@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import model, policy, simulate
@@ -228,7 +229,43 @@ class TestMonteCarloElg:
         assert stats.final_value_quantiles[0] >= 100.0 * 0.6**2 - 1e-9
 
 
+@st.composite
+def valid_games(draw):
+    """(params, history): depth 1 to 6, anywhere in the hyperdiamond."""
+    m = draw(st.integers(1, 6))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = draw(st.lists(coord, min_size=m + 1, max_size=m + 1))
+    radius = draw(st.floats(0.0, 0.5 - 1e-6))
+    size = sum(abs(v) for v in raw)
+    scale = radius / size if size > 0 else 0.0
+    omega = [0.5 + scale * raw[0]] + [scale * v for v in raw[1:]]
+    history = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    return model.validate_params(omega), model.History(tuple(history))
+
+
 class TestScenarioTable:
+    @settings(deadline=None)
+    @given(game=valid_games(), n_max=st.integers(1, 60))
+    def test_rows_match_per_horizon_definitions(self, game, n_max):
+        params, history = game
+        kstar = policy.kelly_limit(params)
+        table = simulate.scenario_table(params, history, n_max=n_max)
+        assert [row.n for row in table] == list(range(1, n_max + 1))
+        for row in table:
+            spec = model.GameSpec(params=params, history=history, n=row.n)
+            kn = policy.kelly_horizon(spec)
+            expected = (
+                policy.elg_time_invariant(spec, kstar),
+                policy.elg_time_invariant(spec, kn),
+                policy.elg_time_varying(spec, policy.kelly_timevarying(spec)),
+                kstar,
+                kn,
+            )
+            got = (row.elg_kstar, row.elg_kn, row.elg_kvec, row.kstar, row.kn)
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+            assert row.elg_kvec >= row.elg_kn - 1e-12
+            assert row.elg_kn >= row.elg_kstar - 1e-12
+
     def test_scenario_a_n2_row(self):
         table = simulate.scenario_table(
             model.validate_params([0.55, 0.20]), model.History((1,)), n_max=2
