@@ -216,6 +216,9 @@ def cmd_simulate(args) -> str:
         ks = _parse_float_list(args.k, "--k")
         policies = (("custom", _policy_from_fractions(ks, spec.n)),)
     else:
+        # Before standard_policies allocates the p_k array; SimConfig
+        # checks again with the final policy count.
+        simulate.check_budget(spec.n, args.paths, policies=3)
         policies = simulate.standard_policies(spec)
     config = simulate.SimConfig(
         spec=spec,

@@ -7,10 +7,10 @@ previous m outcomes:
 
 with outcomes coded +1 (head) and -1 (tail). Validity of the coefficient
 vector requires |w0 - 1/2| + sum_i |wi| < 1/2 (the "hyperdiamond"), which
-keeps every conditional probability inside (0, 1). This module computes
-the unconditional head probabilities p_k, their steady state, expected
-head counts, and an equivalent companion-form state-space realization,
-plus a brute-force path-enumeration oracle for cross-checks.
+keeps every conditional probability inside (0, 1). The kernel is
+``transition_table``, the head probability after each of the 2^m windows.
+The module also gives the unconditional p_k, their steady state, expected
+head counts, a companion-form realization and a path-enumeration oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from .errors import (
 # feasibility is decidable in floating point.
 EPS_MARGIN = 1e-9
 
-# Cap on the horizon accepted by the 2^n path-enumeration oracle.
+# Caps on n for the 2^n path-enumeration oracle and on m for the 2^m table.
 MAX_ENUM_HORIZON = 20
+MAX_TABLE_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,6 @@ class MemoryParams:
         """Slack remaining inside the shrunk hyperdiamond."""
         return (0.5 - EPS_MARGIN) - self.l1_distance
 
-    @property
-    def lag_weights(self) -> np.ndarray:
-        """(w1, ..., wm) as an array."""
-        return np.asarray(self.omega[1:], dtype=float)
-
 
 @dataclass(frozen=True)
 class History:
@@ -93,6 +89,11 @@ class History:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    @property
+    def state(self) -> int:
+        """Bit-packed window, the transition_table index: bit i-1 set when x_{-i} = +1."""
+        return sum(1 << i for i, v in enumerate(self.values) if v == 1)
 
     @property
     def induced_probs(self) -> tuple[float, ...]:
@@ -173,15 +174,27 @@ def validate_params(omega: Sequence[float], m: int | None = None) -> MemoryParam
     return MemoryParams(m=m, omega=omega)
 
 
+def transition_table(params: MemoryParams) -> np.ndarray:
+    """Head probability w0 + sum_i wi x_{k-i} after each window, by History.state.
+
+    Summed as ((w0 + w1 x1) + w2 x2) + ..., the order seeded streams rely on.
+    After outcome x_k the state s moves to ((s << 1) | [x_k = +1]) & (2^m - 1).
+    """
+    if params.m > MAX_TABLE_DEPTH:
+        raise UnsupportedDepth(f"table needs m <= {MAX_TABLE_DEPTH}, got m = {params.m}")
+    table = np.array([params.omega[0]])
+    for w in params.omega[1:]:  # each lag doubles the table and takes the new top bit
+        table = np.concatenate([table - w, table + w])
+    return table
+
+
 def cond_prob(params: MemoryParams, window: Sequence[int]) -> float:
     """Conditional head probability given the last m outcomes, most recent first."""
     if len(window) != params.m:
         raise DimensionMismatch(
             f"window length {len(window)} != memory depth {params.m}"
         )
-    return params.omega[0] + sum(
-        w * x for w, x in zip(params.omega[1:], window)
-    )
+    return float(transition_table(params)[History(tuple(window)).state])
 
 
 def prob_sequence(spec: GameSpec) -> np.ndarray:
@@ -249,7 +262,7 @@ def state_space(params: MemoryParams, history: History) -> StateSpace:
             f"history length {len(history)} != memory depth {params.m}"
         )
     m = params.m
-    w = params.lag_weights
+    w = np.asarray(params.omega[1:])
     A = np.zeros((m, m))
     if m > 1:
         A[: m - 1, 1:] = np.eye(m - 1)
@@ -280,17 +293,13 @@ def path_probabilities(spec: GameSpec, paths: np.ndarray) -> np.ndarray:
     P_X = prod_k Pr(X_k | X_{k-1}, ..., X_{k-m}), with lags before stage 0
     taken from the game history.
     """
-    m = spec.params.m
-    w = spec.params.lag_weights
-    w0 = spec.params.omega[0]
+    table = transition_table(spec.params)
+    state = np.full(paths.shape[0], spec.history.state)
     probs = np.ones(paths.shape[0])
     for k in range(spec.n):
-        p_head = np.full(paths.shape[0], w0)
-        for i in range(1, m + 1):
-            lag = paths[:, k - i] if k - i >= 0 else spec.history.values[i - k - 1]
-            p_head = p_head + w[i - 1] * lag
         heads = paths[:, k] == 1
-        probs = probs * np.where(heads, p_head, 1.0 - p_head)
+        probs = probs * np.where(heads, table[state], 1.0 - table[state])
+        state = ((state << 1) | heads) & (table.size - 1)
     return probs
 
 

@@ -27,14 +27,13 @@ from .errors import DimensionMismatch, DomainError
 # Stand-in bound for a missing log barrier in the multi-outcome search.
 UNBOUNDED_FRACTION = 1.0e6
 
-# Inward shrink applied to the feasible interval before searching, so the
-# objective is never evaluated at a nonpositive log argument.
+# Relative inward shrink of the feasible interval's ends before searching,
+# so the objective is never evaluated at a nonpositive log argument. An
+# absolute shrink is lost to rounding once |barrier| > ~1e4.
 _EDGE_SHRINK = 1e-12
 
 _SEARCH_TOL = 1e-10
 _MAX_SEARCH_ITER = 200
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class PolicyKind(enum.Enum):
@@ -178,34 +177,14 @@ def _elg_derivative(payoff: PayoffModel, k: float) -> float:
     )
 
 
-def _golden_section_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximizer fallback on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_MAX_SEARCH_ITER):
-        if b - a < _SEARCH_TOL:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimize_multioutcome(payoff: PayoffModel) -> MultiOutcomeOptimum:
     """Maximize the concave multi-outcome ELG over the feasible interval.
 
     The interval is bounded by the log barriers -1/x_i of positive-frequency
     outcomes; a missing barrier is replaced by +-UNBOUNDED_FRACTION and the
     result is flagged unbounded when the maximizer lands on such a stand-in
-    bound. The search bisects on the strictly decreasing derivative and
-    falls back to golden-section if the derivative is not finite.
+    bound. The search bisects on the strictly decreasing derivative, which
+    at the shrunk ends is finite or +-inf, never NaN.
     """
     active = [
         (x, f) for x, f in zip(payoff.outcomes, payoff.frequencies) if f > 0.0
@@ -214,8 +193,9 @@ def optimize_multioutcome(payoff: PayoffModel) -> MultiOutcomeOptimum:
     neg = [x for x, _ in active if x < 0.0]
     k_lo = max((-1.0 / x for x in pos), default=-UNBOUNDED_FRACTION)
     k_hi = min((-1.0 / x for x in neg), default=UNBOUNDED_FRACTION)
-    lo = k_lo + _EDGE_SHRINK
-    hi = k_hi - _EDGE_SHRINK
+    # k_lo < 0 < k_hi, so scaling both toward 0 shrinks the interval.
+    lo = k_lo * (1.0 - _EDGE_SHRINK)
+    hi = k_hi * (1.0 - _EDGE_SHRINK)
 
     if all(x == 0.0 for x, _ in active):
         # Payoff never moves; any fraction is optimal, so do not bet.
@@ -223,9 +203,6 @@ def optimize_multioutcome(payoff: PayoffModel) -> MultiOutcomeOptimum:
 
     g_lo = _elg_derivative(payoff, lo)
     g_hi = _elg_derivative(payoff, hi)
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi)):
-        k = _golden_section_max(lambda t: elg_multioutcome(payoff, t), lo, hi)
-        return MultiOutcomeOptimum(fraction=k, elg=elg_multioutcome(payoff, k))
     if g_lo <= 0.0:
         # Decreasing from the left end: maximizer truncated at the stand-in
         # lower bound (a genuine barrier would push the derivative to +inf).

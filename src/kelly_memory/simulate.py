@@ -1,12 +1,13 @@
 """Seeded Monte Carlo simulation of correlated-coin betting.
 
-Outcome paths are sampled with the Philox counter-based generator. Paths
-are processed in fixed blocks of ``BLOCK_PATHS``; block b draws its
-uniforms from ``Philox(key=seed).jumped(b)``, so every block owns a
-disjoint, scheduling-independent slice of the stream and a given
-(config, seed) pair reproduces bit-identical results no matter how the
-blocks are executed. Per-path statistics are materialized in block order
-and reduced with numpy's pairwise summation, keeping the reduction order
+Outcome paths are sampled with the Philox counter-based generator, one
+model.transition_table lookup per step. Paths are processed in fixed
+blocks of ``BLOCK_PATHS``; block b draws its uniforms from
+``Philox(key=seed).jumped(b)``, so every block owns a disjoint,
+scheduling-independent slice of the stream and a given (config, seed)
+pair reproduces bit-identical results no matter how the blocks are
+executed. Per-path statistics are materialized in block order and
+reduced with numpy's pairwise summation, keeping the reduction order
 fixed as well.
 """
 
@@ -19,9 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from . import model, policy as policy_mod
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NumericalError
 
 BLOCK_PATHS = 8192
+
+# Bytes one Monte Carlo request may allocate. Checked before anything is
+# allocated, so an oversized horizon or path count fails with one line
+# instead of a MemoryError or the OOM killer.
+MEMORY_BUDGET = 2 * 2**30
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -43,6 +49,7 @@ class SimConfig:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.initial_value <= 0:
             raise DomainError("initial account value must be positive")
+        check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
             if (
                 pol.kind is policy_mod.PolicyKind.TIME_VARYING
@@ -84,44 +91,53 @@ class ScenarioRow:
     kn: float
 
 
+def check_budget(n: int, paths: int, policies: int) -> None:
+    """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
+
+    The byte count is an upper estimate. Per stage about 96: the p_k list
+    and array and the vector bettor's fractions as Python floats. Per block
+    cell 24, with room to spare: the uniforms, whose buffer becomes the
+    +1/-1 block (8), the head flags (1), the previous block the reduction
+    still holds (8) and its boolean temporaries (1). Per path 8 for each
+    policy's growth array and 24 for the reduction's temporaries.
+    """
+    need = 96 * n + 24 * min(paths, BLOCK_PATHS) * n + 8 * (policies + 3) * paths
+    if need > MEMORY_BUDGET:
+        raise DomainError(
+            f"{paths} paths of {n} bets need about {need / 2**30:.3g} GiB, "
+            f"over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
+
+
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
-    """One +1/-1 outcome path of length n, deterministic in stream_seed."""
+    """One +1/-1 path of length n, deterministic in stream_seed; a Python-float loop."""
     gen = np.random.Generator(np.random.Philox(key=stream_seed))
-    u = gen.random(spec.n)
-    w = spec.params.lag_weights
-    w0 = spec.params.omega[0]
-    window = list(spec.history.values)
-    out = np.empty(spec.n, dtype=np.int64)
-    for k in range(spec.n):
-        p = w0 + float(w @ window)
-        x = 1 if u[k] < p else -1
-        out[k] = x
-        window = [x] + window[:-1]
-    return out
+    table = model.transition_table(spec.params).tolist()
+    state, mask, heads = spec.history.state, len(table) - 1, []
+    for u in gen.random(spec.n).tolist():
+        heads.append(u < table[state])
+        state = ((state << 1) | heads[-1]) & mask
+    return np.where(heads, 1, -1)
 
 
-def _sample_block(spec: model.GameSpec, seed: int, block_index: int, rows: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed).jumped(block_index))
-    u = gen.random((rows, spec.n))
-    w = spec.params.lag_weights
-    w0 = spec.params.omega[0]
-    x = np.empty((rows, spec.n), dtype=np.int64)
-    for k in range(spec.n):
-        p = np.full(rows, w0)
-        for i in range(1, spec.params.m + 1):
-            lag = x[:, k - i] if k - i >= 0 else spec.history.values[i - k - 1]
-            p = p + w[i - 1] * lag
-        x[:, k] = np.where(u[:, k] < p, 1, -1)
-    return x
+def _blocks(spec: model.GameSpec, paths: int, seed: int):
+    """Yield a run's (rows, n) +1/-1 blocks in order, one table gather per step."""
+    table = model.transition_table(spec.params)
+    for b, start in enumerate(range(0, paths, BLOCK_PATHS)):
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        u = gen.random((min(BLOCK_PATHS, paths - start), spec.n))
+        heads = np.empty(u.shape, dtype=bool)
+        state = np.full(u.shape[0], spec.history.state)
+        for k in range(spec.n):
+            head = np.less(u[:, k], table[state], out=heads[:, k])
+            state = ((state << 1) | head) & (table.size - 1)
+        x = u.view(np.int64)  # 2 * heads - 1, written over the uniforms' buffer
+        yield np.subtract(np.multiply(heads, 2, out=x), 1, out=x)
 
 
 def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     """Sample ``paths`` outcome paths as a (paths, n) +1/-1 array."""
-    blocks = []
-    for b in range((paths + BLOCK_PATHS - 1) // BLOCK_PATHS):
-        rows = min(BLOCK_PATHS, paths - b * BLOCK_PATHS)
-        blocks.append(_sample_block(spec, seed, b, rows))
-    return np.vstack(blocks)
+    return np.vstack(list(_blocks(spec, paths, seed)))
 
 
 def run_bettor(
@@ -171,12 +187,10 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     m_paths = config.paths
     growth = {name: np.empty(m_paths) for name, _ in config.policies}
     offset = 0
-    for b in range((m_paths + BLOCK_PATHS - 1) // BLOCK_PATHS):
-        rows = min(BLOCK_PATHS, m_paths - b * BLOCK_PATHS)
-        x = _sample_block(spec, config.seed, b, rows)
+    for x in _blocks(spec, m_paths, config.seed):
         for name, pol in config.policies:
-            growth[name][offset : offset + rows] = _log_growth(x, pol)
-        offset += rows
+            growth[name][offset : offset + len(x)] = _log_growth(x, pol)
+        offset += len(x)
 
     stats = []
     for name, pol in config.policies:
@@ -187,7 +201,12 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
             std_error = float(np.std(g, ddof=1) / math.sqrt(m_paths))
         else:
             std_error = 0.0
-        finals = config.initial_value * np.exp(log_vn)
+        with np.errstate(over="ignore"):
+            finals = config.initial_value * np.exp(log_vn)
+        if finals.max() == math.inf:
+            raise NumericalError(
+                f"final account value of policy {name!r} overflows, so it is not finite"
+            )
         q = np.quantile(finals, _QUANTILES)
         stats.append(
             PolicyStats(

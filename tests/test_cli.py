@@ -1,7 +1,9 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from kelly_memory import cli
@@ -185,6 +187,28 @@ class TestSimulate:
         assert [p["name"] for p in payload["policies"]] == ["kstar", "kn", "kvec"]
         for p in payload["policies"]:
             assert abs(p["mean_log_growth"] - p["analytic_elg"]) < 5 * p["std_error"]
+
+    def test_readme_golden(self, capsys):
+        # The README's simulate command, byte for byte: pins the block
+        # sampler, the reduction and the renderer together.
+        code, out, _ = run(
+            capsys,
+            "simulate", "--omega", "0.55,0.20", "--history", "+1", "--n", "2",
+            "--paths", "1000000", "--seed", "7",
+        )
+        assert code == 0
+        assert out == (
+            '{"paths": 1000000, "seed": 7, "policies": ['
+            '{"name": "kstar", "mean_log_growth": 0.0533375412353, '
+            '"std_error": 0.00012637553884, "analytic_elg": 0.0532090088409, '
+            '"q05": 0.694444444444, "q50": 1.36111111111, "q95": 1.36111111111}, '
+            '{"name": "kn", "mean_log_growth": 0.0826065462877, '
+            '"std_error": 0.000318236430855, "analytic_elg": 0.0822828785051, '
+            '"q05": 0.36, "q50": 1.96, "q95": 1.96}, '
+            '{"name": "kvec", "mean_log_growth": 0.0886248840944, '
+            '"std_error": 0.00032205336755, "analytic_elg": 0.0882562887332, '
+            '"q05": 0.35, "q50": 1.95, "q95": 1.95}]}\n'
+        )
 
     def test_custom_policy_csv(self, capsys):
         code, out, _ = run(
@@ -377,14 +401,53 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_result_is_not_printed(self, capsys, fmt):
-        # Final account values overflow to inf over 20000 winning bets; numpy
-        # warns about that before the renderer refuses the result.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(
-                capsys,
-                "simulate", "--omega", "0.9,0", "--history", "+1", "--n", "20000",
-                "--k", "0.99", "--paths", "10", "--format", fmt,
-            )
+        # Final account values overflow to inf over 20000 winning bets.
+        code, out, err = run(
+            capsys,
+            "simulate", "--omega", "0.9,0", "--history", "+1", "--n", "20000",
+            "--k", "0.99", "--paths", "10", "--format", fmt,
+        )
         assert code == 3
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
+
+    def test_overflow_prints_one_line_and_no_warning(self):
+        # In a fresh process, so that a numpy RuntimeWarning would reach the
+        # real stderr instead of pytest's warning capture.
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "kelly_memory",
+                "simulate", "--omega", "0.9,0", "--history", "+1", "--n", "20000",
+                "--k", "0.99", "--paths", "10",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: ") and "overflows" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "size",
+        [("--n", "100000000000", "--paths", "10"), ("--n", "2", "--paths", "10000000000")],
+    )
+    def test_oversized_simulation_rejected(self, capsys, size):
+        code, out, err = run(
+            capsys, "simulate", "--omega", "0.55,0.2", "--history", "+1", *size
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "budget" in err
+
+    def test_simulate_depth_above_table_cap(self, capsys):
+        omega = ",".join(["0.5"] + ["0.01"] * 21)
+        code, out, err = run(
+            capsys, "simulate", "--omega", omega, "--history", ",".join(["+1"] * 21),
+            "--n", "2", "--paths", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "m <= 20" in err

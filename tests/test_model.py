@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import model
@@ -13,6 +14,7 @@ from kelly_memory.errors import (
     HyperdiamondViolation,
     UnsupportedDepth,
 )
+from strategies import valid_games
 
 
 def make_spec(omega, history, n):
@@ -139,6 +141,43 @@ class TestCondProb:
             window = bruteforce.random_history(rng, m)
             p = model.cond_prob(params, window)
             assert model.EPS_MARGIN < p < 1 - model.EPS_MARGIN
+
+
+def window_of(state, m):
+    """The +1/-1 window, most recent first, that a bit-packed state encodes."""
+    return tuple(1 if state >> i & 1 else -1 for i in range(m))
+
+
+class TestTransitionTable:
+    @given(game=valid_games())
+    def test_matches_pure_python_oracle(self, game):
+        params, _ = game
+        table = model.transition_table(params)
+        assert table.shape == (2**params.m,)
+        for state in range(2**params.m):
+            expected = bruteforce.conditional_head_prob(
+                params.omega, window_of(state, params.m)
+            )
+            assert abs(table[state] - expected) <= 1e-15
+
+    def test_history_state_packs_most_recent_first(self):
+        assert model.History((1,)).state == 1
+        assert model.History((-1, 1, 1)).state == 0b110
+        for state in range(2**4):
+            assert model.History(window_of(state, 4)).state == state
+
+    def test_cond_prob_reads_table(self):
+        params = model.validate_params([0.5, 0.2, -0.1, 0.15])
+        table = model.transition_table(params)
+        for state in range(8):
+            assert model.cond_prob(params, window_of(state, 3)) == table[state]
+
+    def test_depth_cap(self):
+        params = model.validate_params(
+            [0.5] + [0.01] * (model.MAX_TABLE_DEPTH + 1)
+        )
+        with pytest.raises(UnsupportedDepth):
+            model.transition_table(params)
 
 
 class TestProbSequence:
@@ -415,17 +454,20 @@ class TestEnumerationOracle:
                 model.expected_heads(spec), abs=1e-12
             )
 
-    def test_matches_pure_python_oracle(self):
-        rng = random.Random(59)
-        for _ in range(40):
-            m = rng.randint(1, 3)
-            omega = bruteforce.random_valid_omega(rng, m)
-            history = bruteforce.random_history(rng, m)
-            n = rng.randint(1, 8)
-            spec = make_spec(omega, history, n=n)
-            assert model.enumerate_expected_heads(spec) == pytest.approx(
-                bruteforce.expected_heads(omega, history, n), abs=1e-12
-            )
+    @settings(deadline=None)
+    @given(game=valid_games(), n=st.integers(1, 8))
+    def test_matches_pure_python_oracle(self, game, n):
+        params, history = game
+        spec = model.GameSpec(params=params, history=history, n=n)
+        paths = model.all_paths(n)
+        probs = model.path_probabilities(spec, paths)
+        for path, prob in bruteforce.iter_paths(params.omega, history.values, n):
+            # all_paths row r spells r in binary, with +1 for a 1 bit.
+            row = int("".join("1" if x == 1 else "0" for x in path), 2)
+            assert abs(probs[row] - prob) <= 1e-12
+        assert model.enumerate_expected_heads(spec) == pytest.approx(
+            bruteforce.expected_heads(params.omega, history.values, n), abs=1e-12
+        )
 
     def test_path_probabilities_sum_to_one(self):
         rng = random.Random(61)

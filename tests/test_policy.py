@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import model, policy
-from kelly_memory.errors import DimensionMismatch, DomainError
+from kelly_memory.errors import DimensionMismatch, DomainError, KellyMemoryError
 
 
 def make_spec(omega, history, n):
@@ -349,3 +350,43 @@ class TestOptimizeMultiOutcome:
                 except DomainError:
                     continue
                 assert best.elg >= other - 1e-12
+
+    def test_tiny_outcome_barrier_far_out(self):
+        # The barrier -1/1e-20 is far beyond where an absolute shrink of the
+        # interval survives rounding; 1 + K x used to reach exactly 0.
+        payoff = policy.PayoffModel(outcomes=(1e-20, -1.0), frequencies=(0.5, 0.5))
+        best = policy.optimize_multioutcome(payoff)
+        assert best.fraction == pytest.approx(-5e19, rel=1e-9)
+        assert not best.unbounded
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        outcomes=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda sign, mag: sign * mag,
+                    st.sampled_from((1.0, -1.0)),
+                    st.floats(1e-300, 1e300),
+                ),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    )
+    def test_any_finite_payoff_gives_feasible_fraction(self, outcomes, weights):
+        weights = weights[: len(outcomes)]
+        total = sum(weights)
+        assume(total > 0)
+        freqs = tuple(w / total for w in weights)
+        try:
+            payoff = policy.PayoffModel(outcomes=tuple(outcomes), frequencies=freqs)
+            best = policy.optimize_multioutcome(payoff)
+        except KellyMemoryError:
+            return
+        assert math.isfinite(best.fraction)
+        for x, f in zip(payoff.outcomes, payoff.frequencies):
+            if f > 0:
+                assert 1.0 + best.fraction * x > 0.0
+        assert not math.isnan(best.elg)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
+from strategies import valid_games
 from kelly_memory import model, policy, simulate
-from kelly_memory.errors import DimensionMismatch, DomainError
+from kelly_memory.errors import DimensionMismatch, DomainError, NumericalError
 
 
 def make_spec(omega, history, n):
@@ -75,6 +77,56 @@ class TestSamplePath:
             assert abs(freq - expected) < 3 * sigma
 
 
+# Pinned output streams. Each digest is the sha256 of the sampler's int64
+# output bytes; a change to the sampling kernel that moves any draw changes
+# it, which a rerun-against-itself test cannot see.
+PINNED_GAMES = {
+    1: ([0.55, 0.20], [1]),
+    3: ([0.5, 0.2, -0.1, 0.15], [1, -1, 1]),
+    6: ([0.45, 0.1, -0.08, 0.06, -0.05, 0.04, 0.03], [1, -1, -1, 1, 1, -1]),
+}
+
+# sample_path at depth 1 (omega 0.55,0.20 after a head): the (seed, n)
+# pairs the estimation and acceptance tests draw their data from.
+PINNED_PATH_RUNS = {
+    "estimate": [(905, 40_000), (11, 100_000), (19, 20_000)],
+    "consistency": [
+        (10_000 * n + s, n) for n in (1_000, 10_000, 100_000) for s in range(20)
+    ],
+    "acceptance": [(1000 + s, 100_000) for s in range(20)],
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize(
+        "m,n,digest",
+        [
+            (1, 2, "6547b6e84d9d7ac4151ed08014f2393a40ee5289afee000576dd2137567b07ce"),
+            (3, 30, "b4686f696c360b23c241d6f05f0d7ac1f4609a9f1d271e6c71cbe2a1cd638665"),
+            (6, 30, "ad943074b0a03d9ab807adc5220f2a4b794b7e6bdaa787f468fa575a4c657376"),
+        ],
+    )
+    def test_sample_paths_digest(self, m, n, digest):
+        # 20 000 paths: two full blocks and a partial third.
+        x = simulate.sample_paths(make_spec(*PINNED_GAMES[m], n), paths=20_000, seed=11)
+        assert x.dtype == np.int64 and x.shape == (20_000, n)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "group,digest",
+        [
+            ("estimate", "46bfd811832246335f86c74d59f8217f0dd8cf0bc230c3f25815fb9a3f5f474a"),
+            ("consistency", "236cd2b3f39dded5897a2c6e17cbbe17c2ff832a66585951bb72b65fa5837f52"),
+            ("acceptance", "66e8f45bb7d9d75420fc844979c561de61edfbd4d18ec57d2da701ea2ecb543f"),
+        ],
+    )
+    def test_sample_path_digest(self, group, digest):
+        h = hashlib.sha256()
+        for seed, n in PINNED_PATH_RUNS[group]:
+            h.update(simulate.sample_path(make_spec(*PINNED_GAMES[1], n), seed).tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestRunBettor:
     def test_two_wins(self):
         traj = simulate.run_bettor([1, 1], policy.BettorPolicy.constant(0.4))
@@ -119,6 +171,24 @@ class TestSimConfig:
         bad = policy.BettorPolicy.varying([0.1, 0.1, 0.1])
         with pytest.raises(DimensionMismatch):
             simulate.SimConfig(spec=SPEC_A2, policies=(("bad", bad),), paths=10)
+
+
+class TestMemoryBudget:
+    @pytest.mark.parametrize(
+        "n,paths,policies",
+        [(30, 1_000_000, 3), (2, 1_000_000, 3), (20_000, 10, 1), (100_000, 1, 3)],
+    )
+    def test_benchmark_and_test_sizes_accepted(self, n, paths, policies):
+        simulate.check_budget(n, paths, policies)
+
+    def test_oversized_request_rejected_before_allocating(self):
+        spec = make_spec([0.55, 0.20], [1], n=10**9)
+        with pytest.raises(DomainError, match="budget"):
+            simulate.SimConfig(
+                spec=spec,
+                policies=(("k", policy.BettorPolicy.constant(0.1)),),
+                paths=10**6,
+            )
 
 
 class TestMonteCarloElg:
@@ -216,6 +286,16 @@ class TestMonteCarloElg:
                 hits += 1
         assert hits >= 48
 
+    def test_overflowing_final_value_raises(self):
+        spec = make_spec([0.9, 0.0], [1], n=20_000)
+        config = simulate.SimConfig(
+            spec=spec,
+            policies=(("k", policy.BettorPolicy.constant(0.99)),),
+            paths=10,
+        )
+        with pytest.raises(NumericalError, match="overflows"):
+            simulate.monte_carlo_elg(config)
+
     def test_initial_value_scales_quantiles(self):
         config = simulate.SimConfig(
             spec=SPEC_A2,
@@ -227,20 +307,6 @@ class TestMonteCarloElg:
         stats = simulate.monte_carlo_elg(config).stats[0]
         assert stats.final_value_quantiles[2] <= 100.0 * 1.4**2 + 1e-9
         assert stats.final_value_quantiles[0] >= 100.0 * 0.6**2 - 1e-9
-
-
-@st.composite
-def valid_games(draw):
-    """(params, history): depth 1 to 6, anywhere in the hyperdiamond."""
-    m = draw(st.integers(1, 6))
-    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
-    raw = draw(st.lists(coord, min_size=m + 1, max_size=m + 1))
-    radius = draw(st.floats(0.0, 0.5 - 1e-6))
-    size = sum(abs(v) for v in raw)
-    scale = radius / size if size > 0 else 0.0
-    omega = [0.5 + scale * raw[0]] + [scale * v for v in raw[1:]]
-    history = draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
-    return model.validate_params(omega), model.History(tuple(history))
 
 
 class TestScenarioTable:
