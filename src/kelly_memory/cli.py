@@ -23,6 +23,9 @@ from .errors import InputError, KellyMemoryError, NumericalError
 JSON_SIG_DIGITS = 12
 CSV_SIG_DIGITS = 6
 
+# CSV table headers that differ from the record's keys.
+CSV_COLUMN_NAMES = {"name": "policy"}
+
 SEED_ENV_VAR = "KELLY_MEMORY_SEED"
 
 
@@ -71,21 +74,61 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fmt(x: float, sig: int) -> str:
-    if not math.isfinite(x):
-        raise NumericalError(f"result {x} is not finite")
-    return f"{x:.{sig}g}"
+def _is_table(value) -> bool:
+    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
 
 
-def _jround(x: float, sig: int) -> float:
-    return float(f"{x:.{sig}g}")
+def render(record: dict, fmt: str, precision: int | None) -> str:
+    """Write a command's record as one JSON line or as CSV; the CLI's one output rule.
 
+    The record holds floats, ints, bools, strings, float sequences and at
+    most one table, a list of row dicts. Floats are rounded to ``precision``
+    significant digits (default JSON_SIG_DIGITS or CSV_SIG_DIGITS); a
+    non-finite one raises NumericalError, so no NaN or Infinity is printed.
+    CSV prints the table, if there is one, and leaves out the other values.
+    Otherwise it prints one name,value line per number: a sequence x as
+    x_0, x_1, ..., a bool as true/false, and no strings.
+    """
+    default = JSON_SIG_DIGITS if fmt == "json" else CSV_SIG_DIGITS
+    text = f"{{:.{precision or default}g}}".format
+    if fmt == "json":
 
-def _json_line(payload: dict) -> str:
-    try:
-        return json.dumps(payload, allow_nan=False) + "\n"
-    except ValueError:
-        raise NumericalError("result is not finite, so it has no JSON form") from None
+        def rounded(v):
+            if isinstance(v, float):
+                return float(text(v))
+            if _is_table(v):
+                return [{key: rounded(x) for key, x in row.items()} for row in v]
+            if isinstance(v, (list, tuple)):
+                return list(map(float, map(text, v)))
+            return v
+
+        payload = {key: rounded(v) for key, v in record.items()}
+        try:
+            return json.dumps(payload, allow_nan=False) + "\n"
+        except ValueError:
+            raise NumericalError("result is not finite, so it has no JSON form") from None
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise NumericalError(f"result {v} is not finite")
+            return text(v)
+        return str(v)
+
+    table = next((v for v in record.values() if _is_table(v)), None)
+    if table is not None:
+        lines = [",".join(CSV_COLUMN_NAMES.get(key, key) for key in table[0])]
+        lines += [",".join(map(cell, row.values())) for row in table]
+    else:
+        lines = ["name,value"]
+        for name, v in record.items():
+            if isinstance(v, (list, tuple)):
+                lines += [f"{name}_{i},{cell(x)}" for i, x in enumerate(v)]
+            elif not isinstance(v, str):
+                lines.append(f"{name},{cell(v)}")
+    return "\n".join(lines) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -103,11 +146,6 @@ def _write_output(text: str, out: str | None) -> None:
         raise
 
 
-def _csv_lines(header: str, rows: list[list[str]]) -> str:
-    lines = [header] + [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _game_spec(args) -> model.GameSpec:
     params = model.validate_params(_parse_float_list(args.omega, "--omega"))
     history = _parse_history(args.history)
@@ -121,25 +159,13 @@ def _nat_scale(args) -> float:
 def cmd_kelly(args) -> str:
     spec = _game_spec(args)
     kstar = policy.kelly_limit(spec.params)
-    kn = policy.kelly_horizon(spec)
-    kvec = policy.kelly_timevarying(spec).fractions
-    if args.format == "json":
-        sig = args.precision or JSON_SIG_DIGITS
-        payload = {
-            "kstar": _jround(kstar, sig),
-            "kn": _jround(kn, sig),
-            "kinf": _jround(kstar, sig),
-            "kvec": [_jround(k, sig) for k in kvec],
-        }
-        return _json_line(payload)
-    sig = args.precision or CSV_SIG_DIGITS
-    rows = [
-        ["kstar", _fmt(kstar, sig)],
-        ["kn", _fmt(kn, sig)],
-        ["kinf", _fmt(kstar, sig)],
-    ]
-    rows += [[f"kvec_{i}", _fmt(k, sig)] for i, k in enumerate(kvec)]
-    return _csv_lines("name,value", rows)
+    record = {
+        "kstar": kstar,
+        "kn": policy.kelly_horizon(spec),
+        "kinf": kstar,
+        "kvec": policy.kelly_timevarying(spec).fractions,
+    }
+    return render(record, args.format, args.precision)
 
 
 def _policy_from_fractions(ks: list[float], n: int) -> policy.BettorPolicy:
@@ -158,20 +184,12 @@ def cmd_elg(args) -> str:
         value = policy.elg_time_invariant(spec, pol.fractions[0])
     else:
         value = policy.elg_time_varying(spec, pol)
-    value *= _nat_scale(args)
-    unit = "bits" if args.bits else "nats"
-    if args.format == "json":
-        sig = args.precision or JSON_SIG_DIGITS
-        payload = {
-            "k": [_jround(k, sig) for k in pol.fractions],
-            "elg": _jround(value, sig),
-            "unit": unit,
-        }
-        return _json_line(payload)
-    sig = args.precision or CSV_SIG_DIGITS
-    rows = [[f"k_{i}", _fmt(k, sig)] for i, k in enumerate(pol.fractions)]
-    rows.append(["elg", _fmt(value, sig)])
-    return _csv_lines("name,value", rows)
+    record = {
+        "k": pol.fractions,
+        "elg": value * _nat_scale(args),
+        "unit": "bits" if args.bits else "nats",
+    }
+    return render(record, args.format, args.precision)
 
 
 def cmd_scenario(args) -> str:
@@ -179,35 +197,18 @@ def cmd_scenario(args) -> str:
     history = _parse_history(args.history)
     table = simulate.scenario_table(params, history, n_max=args.n)
     scale = _nat_scale(args)
-    if args.format == "json":
-        sig = args.precision or JSON_SIG_DIGITS
-        payload = {
-            "rows": [
-                {
-                    "n": row.n,
-                    "elg_kstar": _jround(row.elg_kstar * scale, sig),
-                    "elg_kn": _jround(row.elg_kn * scale, sig),
-                    "elg_kvec": _jround(row.elg_kvec * scale, sig),
-                    "kstar": _jround(row.kstar, sig),
-                    "kn": _jround(row.kn, sig),
-                }
-                for row in table
-            ]
-        }
-        return _json_line(payload)
-    sig = args.precision or CSV_SIG_DIGITS
     rows = [
-        [
-            str(row.n),
-            _fmt(row.elg_kstar * scale, sig),
-            _fmt(row.elg_kn * scale, sig),
-            _fmt(row.elg_kvec * scale, sig),
-            _fmt(row.kstar, sig),
-            _fmt(row.kn, sig),
-        ]
+        {
+            "n": row.n,
+            "elg_kstar": row.elg_kstar * scale,
+            "elg_kn": row.elg_kn * scale,
+            "elg_kvec": row.elg_kvec * scale,
+            "kstar": row.kstar,
+            "kn": row.kn,
+        }
         for row in table
     ]
-    return _csv_lines("n,elg_kstar,elg_kn,elg_kvec,kstar,kn", rows)
+    return render({"rows": rows}, args.format, args.precision)
 
 
 def cmd_simulate(args) -> str:
@@ -228,41 +229,20 @@ def cmd_simulate(args) -> str:
     )
     result = simulate.monte_carlo_elg(config)
     scale = _nat_scale(args)
-    if args.format == "json":
-        sig = args.precision or JSON_SIG_DIGITS
-        payload = {
-            "paths": result.paths,
-            "seed": result.seed,
-            "policies": [
-                {
-                    "name": s.name,
-                    "mean_log_growth": _jround(s.mean_log_growth * scale, sig),
-                    "std_error": _jround(s.std_error * scale, sig),
-                    "analytic_elg": _jround(s.analytic_elg * scale, sig),
-                    "q05": _jround(s.final_value_quantiles[0], sig),
-                    "q50": _jround(s.final_value_quantiles[1], sig),
-                    "q95": _jround(s.final_value_quantiles[2], sig),
-                }
-                for s in result.stats
-            ],
-        }
-        return _json_line(payload)
-    sig = args.precision or CSV_SIG_DIGITS
     rows = [
-        [
-            s.name,
-            _fmt(s.mean_log_growth * scale, sig),
-            _fmt(s.std_error * scale, sig),
-            _fmt(s.analytic_elg * scale, sig),
-            _fmt(s.final_value_quantiles[0], sig),
-            _fmt(s.final_value_quantiles[1], sig),
-            _fmt(s.final_value_quantiles[2], sig),
-        ]
+        {
+            "name": s.name,
+            "mean_log_growth": s.mean_log_growth * scale,
+            "std_error": s.std_error * scale,
+            "analytic_elg": s.analytic_elg * scale,
+            "q05": s.final_value_quantiles[0],
+            "q50": s.final_value_quantiles[1],
+            "q95": s.final_value_quantiles[2],
+        }
         for s in result.stats
     ]
-    return _csv_lines(
-        "policy,mean_log_growth,std_error,analytic_elg,q05,q50,q95", rows
-    )
+    record = {"paths": result.paths, "seed": result.seed, "policies": rows}
+    return render(record, args.format, args.precision)
 
 
 def cmd_estimate(args) -> str:
@@ -271,18 +251,7 @@ def cmd_estimate(args) -> str:
         data=tuple(int(v) for v in outcomes), m=args.m
     )
     fit = estimate.constrained_fit(obs) if args.constrained else estimate.ols_fit(obs)
-    if args.format == "csv":
-        sig = args.precision or CSV_SIG_DIGITS
-        rows = [[f"omega_{i}", _fmt(w, sig)] for i, w in enumerate(fit.omega_hat)]
-        rows.append(["rss", _fmt(fit.rss, sig)])
-        rows.append(["constrained", str(fit.constrained).lower()])
-        rows.append(["projected", str(fit.projected).lower()])
-        return _csv_lines("name,value", rows)
-    sig = args.precision or JSON_SIG_DIGITS
-    payload = fit.as_json_dict()
-    payload["omega"] = [_jround(w, sig) for w in payload["omega"]]
-    payload["rss"] = _jround(payload["rss"], sig)
-    return _json_line(payload)
+    return render(fit.as_json_dict(), args.format, args.precision)
 
 
 def cmd_ingest(args) -> str:
@@ -370,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="convert a price CSV to +1/-1 moves")
     p.add_argument("data", help="CSV file with a 'price' column")
     p.add_argument("--tie", choices=("drop", "up", "down"), default="drop")
-    add_common(p, game=False)
+    p.add_argument("--out", default=None, help="write the moves atomically to this path")
     p.set_defaults(func=cmd_ingest)
 
     return parser

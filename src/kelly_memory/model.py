@@ -41,6 +41,17 @@ EPS_MARGIN = 1e-9
 MAX_ENUM_HORIZON = 20
 MAX_TABLE_DEPTH = 20
 
+# Bytes one request may allocate. Checked before anything is allocated, so
+# an oversized horizon or path count fails with one line instead of a
+# MemoryError or the OOM killer.
+MEMORY_BUDGET = 2 * 2**30
+
+# Upper estimate of the bytes a command holds per stage of its horizon, from
+# tracemalloc peaks. The largest is scenario's per-horizon row, its record
+# and its JSON text, about 1.3 kB; kelly holds about 160 B (p_k, kvec and
+# its CSV text).
+STAGE_BYTES = 1536
+
 
 @dataclass(frozen=True)
 class MemoryParams:
@@ -204,8 +215,15 @@ def prob_sequence(spec: GameSpec) -> np.ndarray:
     initial conditions p_{-i} = (x_{-i} + 1)/2. p_k does not depend on the
     horizon, so every horizon up to n reads a prefix of this one array. The
     loop runs on Python floats: a numpy call per step costs more than the
-    m multiply-adds it would do.
+    m multiply-adds it would do. Every analytic request walks this pass, so
+    it checks the horizon against MEMORY_BUDGET before allocating.
     """
+    need = STAGE_BYTES * spec.n
+    if need > MEMORY_BUDGET:
+        raise DomainError(
+            f"{spec.n} bets need about {need / 2**30:.3g} GiB, "
+            f"over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
     w = spec.params.omega[1:]
     drift = spec.params.omega[0] - sum(w)
     # lags[i-1] holds p_{k-i}; starts at the induced initial conditions.

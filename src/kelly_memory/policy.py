@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NumericalError
 
 # Stand-in bound for a missing log barrier in the multi-outcome search.
 UNBOUNDED_FRACTION = 1.0e6
@@ -165,6 +165,8 @@ def elg_multioutcome(payoff: PayoffModel, k: float) -> float:
         g = 1.0 + k * x
         if g <= 0.0:
             raise DomainError(f"1 + K x = {g} nonpositive for outcome {x}")
+        if g == math.inf:
+            raise NumericalError(f"1 + K x overflows for K = {k} and outcome {x}")
         total += f * math.log(g)
     return total
 

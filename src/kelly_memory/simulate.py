@@ -21,13 +21,9 @@ import numpy as np
 
 from . import model, policy as policy_mod
 from .errors import DimensionMismatch, DomainError, NumericalError
+from .model import MEMORY_BUDGET, STAGE_BYTES
 
 BLOCK_PATHS = 8192
-
-# Bytes one Monte Carlo request may allocate. Checked before anything is
-# allocated, so an oversized horizon or path count fails with one line
-# instead of a MemoryError or the OOM killer.
-MEMORY_BUDGET = 2 * 2**30
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -94,14 +90,15 @@ class ScenarioRow:
 def check_budget(n: int, paths: int, policies: int) -> None:
     """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
 
-    The byte count is an upper estimate. Per stage about 96: the p_k list
-    and array and the vector bettor's fractions as Python floats. Per block
-    cell 24, with room to spare: the uniforms, whose buffer becomes the
-    +1/-1 block (8), the head flags (1), the previous block the reduction
-    still holds (8) and its boolean temporaries (1). Per path 8 for each
-    policy's growth array and 24 for the reduction's temporaries.
+    The byte count is an upper estimate. Per stage STAGE_BYTES, the analytic
+    layer's bound, which covers the p_k pass and the vector bettor's
+    fractions. Per block cell 24, with room to spare: the uniforms, whose
+    buffer becomes the +1/-1 block (8), the head flags (1), the previous
+    block the reduction still holds (8) and its boolean temporaries (1). Per
+    path 8 for each policy's growth array and 24 for the reduction's
+    temporaries.
     """
-    need = 96 * n + 24 * min(paths, BLOCK_PATHS) * n + 8 * (policies + 3) * paths
+    need = STAGE_BYTES * n + 24 * min(paths, BLOCK_PATHS) * n + 8 * (policies + 3) * paths
     if need > MEMORY_BUDGET:
         raise DomainError(
             f"{paths} paths of {n} bets need about {need / 2**30:.3g} GiB, "

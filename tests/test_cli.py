@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kelly_memory import cli
+from strategies import valid_games
 
 
 def run(capsys, *argv):
@@ -173,6 +179,147 @@ class TestScenario:
             assert row["elg_kn"] <= row["elg_kvec"] + 1e-9
 
 
+GAME = ("--omega", "0.55,0.20", "--history", "+1")
+GAME3 = ("--omega", "0.5,0.15,-0.1,0.05", "--history", "+1,-1,+1")
+OUTCOME_FILES = {
+    "mod3": "".join("+1\n" if i % 3 else "-1\n" for i in range(200)),
+    "alt": "".join("+1\n" if i % 2 else "-1\n" for i in range(200)),
+    "sq7": "".join("+1\n" if i * i % 7 < 4 else "-1\n" for i in range(300)),
+}
+
+
+class TestGoldenShapes:
+    """Byte-exact output of every command's JSON and CSV shape."""
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ("elg", *GAME, "--n", "2", "--k", "0.4", "--format", "csv"),
+                "name,value\nk_0,0.4\nelg,0.0822829\n",
+            ),
+            (
+                ("elg", *GAME, "--n", "2", "--k", "0.4", "--format", "csv", "--bits"),
+                "name,value\nk_0,0.4\nelg,0.118709\n",
+            ),
+            (
+                ("elg", *GAME3, "--n", "3", "--k", "0.1,-0.2,0.3", "--format", "csv",
+                 "--bits"),
+                "name,value\nk_0,0.1\nk_1,-0.2\nk_2,0.3\nelg,-0.00259468\n",
+            ),
+            (
+                ("scenario", *GAME, "--n", "3", "--format", "json", "--bits"),
+                '{"rows": ['
+                '{"n": 1, "elg_kstar": 0.101035714544, "elg_kn": 0.188721875541, '
+                '"elg_kvec": 0.188721875541, "kstar": 0.166666666667, "kn": 0.5}, '
+                '{"n": 2, "elg_kstar": 0.0767643731854, "elg_kn": 0.118709100769, '
+                '"elg_kvec": 0.127326910083, "kstar": 0.166666666667, "kn": 0.4}, '
+                '{"n": 3, "elg_kstar": 0.0622015683703, "elg_kn": 0.0850736272203, '
+                '"elg_kvec": 0.0966180905534, "kstar": 0.166666666667, "kn": 0.34}]}\n',
+            ),
+            (
+                ("scenario", *GAME3, "--n", "2", "--format", "json"),
+                '{"rows": ['
+                '{"n": 1, "elg_kstar": 0.0, "elg_kn": 0.192744757022, '
+                '"elg_kvec": 0.192744757022, "kstar": 0.0, "kn": 0.6}, '
+                '{"n": 2, "elg_kstar": 0.0, "elg_kn": 0.0290830539958, '
+                '"elg_kvec": 0.0999810686647, "kstar": 0.0, "kn": 0.24}]}\n',
+            ),
+            (
+                ("simulate", *GAME, "--n", "2", "--paths", "5000", "--seed", "3",
+                 "--format", "csv"),
+                "policy,mean_log_growth,std_error,analytic_elg,q05,q50,q95\n"
+                "kstar,0.055598,0.00177272,0.053209,0.694444,1.36111,1.36111\n"
+                "kn,0.0882987,0.00446402,0.0822829,0.36,1.96,1.96\n"
+                "kvec,0.0938984,0.00451799,0.0882563,0.35,1.95,1.95\n",
+            ),
+            (
+                ("simulate", *GAME3, "--n", "3", "--paths", "5000", "--seed", "3",
+                 "--format", "csv", "--k", "0.1,-0.2,0.3"),
+                "policy,mean_log_growth,std_error,analytic_elg,q05,q50,q95\n"
+                "custom,-0.00141486,0.00148362,-0.0017985,0.616,0.924,1.716\n",
+            ),
+            (
+                ("simulate", *GAME, "--n", "2", "--paths", "5000", "--seed", "3",
+                 "--bits", "--k", "0.4"),
+                '{"paths": 5000, "seed": 3, "policies": [{"name": "custom", '
+                '"mean_log_growth": 0.127388086961, "std_error": 0.00644021823555, '
+                '"analytic_elg": 0.118709100769, "q05": 0.36, "q50": 1.96, '
+                '"q95": 1.96}]}\n',
+            ),
+            (
+                ("estimate", "{mod3}", "--m", "1"),
+                '{"omega": [0.75, -0.25], "rss": 33.0, "constrained": false, '
+                '"projected": false}\n',
+            ),
+            (
+                ("estimate", "{mod3}", "--m", "1", "--format", "csv"),
+                "name,value\nomega_0,0.75\nomega_1,-0.25\nrss,33\n"
+                "constrained,false\nprojected,false\n",
+            ),
+            (
+                ("estimate", "{alt}", "--m", "1", "--constrained"),
+                '{"omega": [0.5, -0.499999999], "rss": 1.99000021939e-16, '
+                '"constrained": true, "projected": true}\n',
+            ),
+            (
+                ("estimate", "{alt}", "--m", "1", "--constrained", "--format", "csv"),
+                "name,value\nomega_0,0.5\nomega_1,-0.5\nrss,1.99e-16\n"
+                "constrained,true\nprojected,true\n",
+            ),
+            (
+                ("estimate", "{sq7}", "--m", "3", "--format", "csv"),
+                "name,value\nomega_0,1.24706\nomega_1,-0.5\nomega_2,-0.5\n"
+                "omega_3,-0.247059\nrss,21.2471\nconstrained,false\nprojected,false\n",
+            ),
+            (
+                ("kelly", *GAME3, "--n", "4", "--precision", "4"),
+                '{"kstar": 0.0, "kn": 0.1228, "kinf": 0.0, '
+                '"kvec": [0.6, -0.12, -0.056, 0.0672]}\n',
+            ),
+            (
+                ("kelly", *GAME3, "--n", "4", "--precision", "4", "--format", "csv"),
+                "name,value\nkstar,0\nkn,0.1228\nkinf,0\n"
+                "kvec_0,0.6\nkvec_1,-0.12\nkvec_2,-0.056\nkvec_3,0.0672\n",
+            ),
+            (
+                ("elg", *GAME, "--n", "2", "--k", "0.5,0.3", "--precision", "4"),
+                '{"k": [0.5, 0.3], "elg": 0.08826, "unit": "nats"}\n',
+            ),
+            (
+                ("scenario", *GAME, "--n", "2", "--precision", "4"),
+                "n,elg_kstar,elg_kn,elg_kvec,kstar,kn\n"
+                "1,0.07003,0.1308,0.1308,0.1667,0.5\n"
+                "2,0.05321,0.08228,0.08826,0.1667,0.4\n",
+            ),
+            (
+                ("simulate", *GAME, "--n", "2", "--paths", "5000", "--seed", "3",
+                 "--precision", "4"),
+                '{"paths": 5000, "seed": 3, "policies": ['
+                '{"name": "kstar", "mean_log_growth": 0.0556, "std_error": 0.001773, '
+                '"analytic_elg": 0.05321, "q05": 0.6944, "q50": 1.361, "q95": 1.361}, '
+                '{"name": "kn", "mean_log_growth": 0.0883, "std_error": 0.004464, '
+                '"analytic_elg": 0.08228, "q05": 0.36, "q50": 1.96, "q95": 1.96}, '
+                '{"name": "kvec", "mean_log_growth": 0.0939, "std_error": 0.004518, '
+                '"analytic_elg": 0.08826, "q05": 0.35, "q50": 1.95, "q95": 1.95}]}\n',
+            ),
+            (
+                ("estimate", "{sq7}", "--m", "3", "--precision", "4"),
+                '{"omega": [1.247, -0.5, -0.5, -0.2471], "rss": 21.25, '
+                '"constrained": false, "projected": false}\n',
+            ),
+        ],
+    )
+    def test_golden(self, capsys, tmp_path, argv, expected):
+        files = {}
+        for name, text in OUTCOME_FILES.items():
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+        code, out, err = run(capsys, *(a.format(**files) for a in argv))
+        assert (code, err) == (0, "")
+        assert out == expected
+
+
 class TestSimulate:
     def test_deterministic_given_seed(self, capsys):
         argv = [
@@ -303,6 +450,18 @@ class TestIngest:
         code, out, _ = run(capsys, "ingest", str(f), "--tie", "down")
         assert code == 0
         assert out == "-1\n+1\n"
+
+    @pytest.mark.parametrize("flag", [("--format", "json"), ("--precision", "3")])
+    def test_output_flags_rejected(self, capsys, tmp_path, flag):
+        # ingest always prints +1/-1 lines, so it takes no output-format flags.
+        f = tmp_path / "p.csv"
+        f.write_text("price\n100\n101\n")
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(["ingest", str(f), *flag])
+        captured = capsys.readouterr()
+        assert exc_info.value.code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and flag[0] in captured.err
 
     def test_missing_price_column(self, capsys, tmp_path):
         f = tmp_path / "p.csv"
@@ -442,6 +601,16 @@ class TestRejectedInput:
         assert out == ""
         assert err.count("\n") == 1 and "budget" in err
 
+    @pytest.mark.parametrize("command", [("kelly",), ("elg", "--k", "0.1"), ("scenario",)])
+    def test_oversized_horizon_rejected(self, capsys, command):
+        code, out, err = run(
+            capsys, *command, "--omega", "0.55,0.2", "--history", "+1",
+            "--n", "100000000000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "budget" in err
+
     def test_simulate_depth_above_table_cap(self, capsys):
         omega = ",".join(["0.5"] + ["0.01"] * 21)
         code, out, err = run(
@@ -451,3 +620,79 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "m <= 20" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON holds the non-finite constant {name}")
+
+
+@st.composite
+def cli_requests(draw):
+    """(argv, outcome file text, output format): small sizes, valid or not."""
+    command = draw(st.sampled_from(("kelly", "elg", "scenario", "simulate", "estimate")))
+    argv, data = [command], ""
+    if command == "estimate":
+        data = "".join(draw(st.lists(st.sampled_from(("+1\n", "-1\n")), max_size=60)))
+        argv += ["{data}", f"--m={draw(st.integers(1, 3))}"]
+        if draw(st.booleans()):
+            argv.append("--constrained")
+    else:
+        params, history = draw(valid_games())
+        n = draw(st.integers(0, 40))
+        argv += [
+            "--omega=" + ",".join(map(repr, params.omega)),
+            "--history=" + ",".join("+1" if v == 1 else "-1" for v in history.values),
+            f"--n={n}",
+        ]
+        fraction = st.floats(-1.0, 1.0)
+        if command == "elg" or (command == "simulate" and draw(st.booleans())):
+            ks = draw(st.one_of(st.lists(fraction, min_size=1, max_size=1),
+                                st.lists(fraction, min_size=n, max_size=n)))
+            argv.append("--k=" + ",".join(map(repr, ks)))
+        if command == "simulate":
+            argv += [f"--paths={draw(st.integers(1, 200))}", f"--seed={draw(st.integers(0, 99))}"]
+        if command != "kelly" and draw(st.booleans()):
+            argv.append("--bits")
+    fmt = draw(st.sampled_from((None, "json", "csv")))
+    if fmt is not None:
+        argv.append(f"--format={fmt}")
+    precision = draw(st.one_of(st.none(), st.integers(-1, 20)))
+    if precision is not None:
+        argv.append(f"--precision={precision}")
+    return argv, data, fmt or ("csv" if command == "scenario" else "json")
+
+
+class TestOutputContract:
+    """Every run prints valid JSON or finite CSV, or exits 2/3 with one stderr line."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(request=cli_requests())
+    def test_valid_output_or_one_line_error(self, request):
+        argv, data, fmt = request
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "outcomes.txt"
+            path.write_text(data)
+            argv = [a.replace("{data}", str(path)) for a in argv]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+            return
+        assert err == ""
+        if fmt == "json":
+            json.loads(out, parse_constant=_reject_constant)
+            return
+        for line in out.splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), line

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import model, policy
@@ -375,6 +375,9 @@ class TestOptimizeMultiOutcome:
         ),
         weights=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
     )
+    # 1 + K x overflows at the optimum of these finite payoffs.
+    @example(outcomes=[1e305, 1.0], weights=[1.0, 1.0, 0.0, 0.0, 0.0])
+    @example(outcomes=[1e300, -1e-300], weights=[1.0, 1.0, 0.0, 0.0, 0.0])
     def test_any_finite_payoff_gives_feasible_fraction(self, outcomes, weights):
         weights = weights[: len(outcomes)]
         total = sum(weights)
@@ -389,4 +392,4 @@ class TestOptimizeMultiOutcome:
         for x, f in zip(payoff.outcomes, payoff.frequencies):
             if f > 0:
                 assert 1.0 + best.fraction * x > 0.0
-        assert not math.isnan(best.elg)
+        assert math.isfinite(best.elg)
