@@ -17,6 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import estimate, model, policy, simulate
 from .errors import InputError, KellyMemoryError, NumericalError
 
@@ -246,9 +248,8 @@ def cmd_simulate(args) -> str:
 
 
 def cmd_estimate(args) -> str:
-    outcomes = estimate.read_outcomes(args.data, column=args.column)
     obs = estimate.ObservationSet(
-        data=tuple(int(v) for v in outcomes), m=args.m
+        data=estimate.read_outcomes(args.data, column=args.column), m=args.m
     )
     fit = estimate.constrained_fit(obs) if args.constrained else estimate.ols_fit(obs)
     return render(fit.as_json_dict(), args.format, args.precision)
@@ -257,7 +258,7 @@ def cmd_estimate(args) -> str:
 def cmd_ingest(args) -> str:
     prices = estimate.read_prices(args.data)
     moves = estimate.ingest_prices(prices, tie_rule=args.tie)
-    return "".join("+1\n" if v == 1 else "-1\n" for v in moves)
+    return np.where(moves > 0, b"+1\n", b"-1\n").tobytes().decode("ascii")
 
 
 class _Parser(argparse.ArgumentParser):

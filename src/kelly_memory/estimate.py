@@ -2,20 +2,26 @@
 
 The linear-probability regression uses response y_t = (x_t + 1)/2 against
 an intercept and the m lagged outcomes, so the coefficient vector is
-exactly (w0, w1, ..., wm). The optionally constrained fit keeps the
-estimate inside the hyperdiamond via projected gradient descent with an
-exact l1-ball projection in the coordinates shifted by the diamond center.
+exactly (w0, w1, ..., wm). Each fit builds the regression once and solves
+its normal equations X'X w = X'y; with outcomes in {-1, +1} and responses
+in {0, 1} both sides are sums of integers, so they are formed exactly.
+The optionally constrained fit keeps the estimate inside the hyperdiamond
+via projected gradient descent on the same system, with an exact l1-ball
+projection in the coordinates shifted by the diamond center.
+
 Also provides ingestion of price series into +1/-1 move sequences and the
-file formats consumed by the CLI.
+file formats consumed by the CLI. Files are parsed in C (numpy's text
+reader, the csv module) and the moves are taken in one array pass; blank
+lines are skipped, and a bad line is reported with its number.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,8 +38,9 @@ from .model import EPS_MARGIN
 
 DIAMOND_RADIUS = 0.5 - EPS_MARGIN
 
-# Relative eigenvalue cutoff below which the normal system is treated as
-# singular.
+# Relative eigenvalue cutoff (smallest over largest eigenvalue of X'X, the
+# squared singular-value ratio of X) below which the normal system is
+# treated as singular.
 _SINGULAR_RTOL = 1e-10
 
 _PG_TOL = 1e-10
@@ -41,18 +48,26 @@ _PG_MAX_ITER = 10_000
 _POWER_ITERATIONS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Chronological +1/-1 outcomes paired with the model depth to fit."""
+    """Chronological +1/-1 outcomes paired with the model depth to fit.
 
-    data: tuple[int, ...]
+    ``data`` may be any sequence or array; it is stored as a read-only
+    int64 copy.
+    """
+
+    data: np.ndarray
     m: int
 
     def __post_init__(self):
         if self.m < 1:
             raise DimensionMismatch(f"model depth must be >= 1, got {self.m}")
-        if any(v not in (-1, 1) for v in self.data):
+        data = np.array(self.data)
+        if data.ndim != 1 or not np.all((data == 1) | (data == -1)):
             raise DomainError("observations must be +1/-1")
+        data = data.astype(np.int64, copy=False)
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
         if len(self.data) < self.m + 1:
             raise InsufficientData(
                 f"{len(self.data)} observations cannot form a single row "
@@ -80,6 +95,10 @@ class FitResult:
         }
 
 
+# The move a flat step becomes under each tie rule; "drop" removes it.
+_TIE_MOVES = {"drop": 0, "up": 1, "down": -1}
+
+
 def ingest_prices(prices: Sequence[float], tie_rule: str = "drop") -> np.ndarray:
     """Convert a price series into +1/-1 moves.
 
@@ -87,25 +106,22 @@ def ingest_prices(prices: Sequence[float], tie_rule: str = "drop") -> np.ndarray
     coerced per ``tie_rule`` ("drop", "up", "down"). Raises EmptyResult
     when no usable moves remain.
     """
-    if tie_rule not in ("drop", "up", "down"):
+    if tie_rule not in _TIE_MOVES:
         raise DomainError(f"unknown tie rule {tie_rule!r}")
-    prices = [float(p) for p in prices]
+    prices = np.asarray(prices, dtype=float)
     # NaN fails both comparisons, so this one pass rejects it too.
-    if not all(0.0 < p < math.inf for p in prices):
+    if not np.all((prices > 0.0) & (prices < np.inf)):
         raise DomainError("prices must be positive and finite")
-    moves = []
-    for prev, cur in zip(prices, prices[1:]):
-        if cur > prev:
-            moves.append(1)
-        elif cur < prev:
-            moves.append(-1)
-        elif tie_rule == "up":
-            moves.append(1)
-        elif tie_rule == "down":
-            moves.append(-1)
-    if not moves:
+    # With gradual underflow a difference of finite floats is zero only
+    # when they are equal, so its sign is the comparison.
+    moves = np.sign(np.diff(prices)).astype(np.int64)
+    if tie_rule == "drop":
+        moves = moves[moves != 0]
+    else:
+        moves[moves == 0] = _TIE_MOVES[tie_rule]
+    if moves.size == 0:
         raise EmptyResult("no usable moves after tie handling")
-    return np.asarray(moves, dtype=np.int64)
+    return moves
 
 
 def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
@@ -114,22 +130,32 @@ def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
     Row t targets outcome x_t and holds [1, x_{t-1}, ..., x_{t-m}];
     the response is y_t = (x_t + 1)/2.
     """
-    data = np.asarray(obs.data, dtype=float)
-    ell, m = data.size, obs.m
+    data, m = obs.data, obs.m
+    ell = data.size
     rows = ell - m
     X = np.ones((rows, m + 1))
     for i in range(1, m + 1):
         X[:, i] = data[m - i : ell - i]
-    y = (data[m:] + 1.0) / 2.0
+    y = (data[m:] + 1) / 2.0
     return X, y
 
 
-def _check_conditioning(X: np.ndarray) -> None:
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= _SINGULAR_RTOL:
+# A fit's regression X, y and its normal equations gram @ w = xty.
+_NormalSystem = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _normal_system(obs: ObservationSet) -> _NormalSystem:
+    """(X, y, X'X, X'y), the regression built once; raises SingularDesign
+    when the normal system cannot be solved."""
+    _require_fit_rows(obs)
+    X, y = build_regression(obs)
+    gram = X.T @ X
+    eig = np.linalg.eigvalsh(gram)
+    if eig[-1] <= 0.0 or eig[0] / eig[-1] <= _SINGULAR_RTOL:
         raise SingularDesign(
             "normal system is numerically singular (constant or collinear data)"
         )
+    return X, y, gram, X.T @ y
 
 
 def _require_fit_rows(obs: ObservationSet) -> None:
@@ -140,12 +166,14 @@ def _require_fit_rows(obs: ObservationSet) -> None:
         )
 
 
-def ols_fit(obs: ObservationSet) -> FitResult:
-    """Unconstrained least squares via orthogonal factorization."""
-    _require_fit_rows(obs)
-    X, y = build_regression(obs)
-    _check_conditioning(X)
-    omega_hat, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResult:
+    """Unconstrained least squares from the normal equations.
+
+    ``system`` is the normal system of ``obs`` when the caller has
+    already built it (constrained_fit does).
+    """
+    X, y, gram, xty = _normal_system(obs) if system is None else system
+    omega_hat = np.linalg.solve(gram, xty)
     rss = float(np.sum((y - X @ omega_hat) ** 2))
     return FitResult(
         omega_hat=tuple(float(w) for w in omega_hat),
@@ -164,7 +192,8 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
     step-to-step change drops below 1e-10; raises NonConvergence (carrying
     the last iterate) if 10^4 iterations do not get there.
     """
-    ols = ols_fit(obs)
+    system = _normal_system(obs)
+    ols = ols_fit(obs, system)
     omega = np.asarray(ols.omega_hat)
     if _diamond_distance(omega) <= DIAMOND_RADIUS:
         return FitResult(
@@ -175,13 +204,12 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
             projected=False,
         )
 
-    X, y = build_regression(obs)
-    rows = X.shape[0]
-    scale = 2.0 / rows
-    gram = scale * (X.T @ X)
+    X, y, gram, xty = system
+    scale = 2.0 / X.shape[0]
+    gram = scale * gram
     lipschitz = _power_lmax(gram)
     step = 1.0 / lipschitz
-    xty = scale * (X.T @ y)
+    xty = scale * xty
 
     w = project_hyperdiamond(omega, DIAMOND_RADIUS)
     for iteration in range(1, _PG_MAX_ITER + 1):
@@ -254,56 +282,107 @@ def project_hyperdiamond(omega: Sequence[float], radius: float) -> np.ndarray:
 def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
     """Read a +1/-1 outcome sequence from a file.
 
-    Without ``column`` the file holds one value per line; with ``column``
-    it is parsed as CSV with a header. Values may be coded +1/-1 or 0/1
-    (auto-detected, 0 meaning tail).
+    Without ``column`` the file holds one value per line, blank lines
+    skipped; with ``column`` it is parsed as CSV with a header (see
+    ``_read_column``). Values may be coded +1/-1 or 0/1 (auto-detected, 0
+    meaning tail).
     """
     path = Path(path)
     if column is None:
-        values = []
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-            token = line.strip()
-            if not token:
-                continue
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise InputError(
-                    f"{path}:{line_no}: {token!r} is not numeric "
-                    "(pass a column name for CSV input)"
-                ) from None
+        values = _read_lines(path)
     else:
-        with path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
+
+        def pick(header: list[str]) -> str:
+            if column not in header:
                 raise InputError(f"{path}: no column named {column!r}")
-            values = [float(row[column]) for row in reader if row[column] != ""]
-    if not values:
+            return column
+
+        values = np.asarray(_read_column(path, pick), dtype=float)
+    if values.size == 0:
         raise EmptyResult(f"{path}: no outcome values found")
     return _decode_outcomes(values, str(path))
 
 
-def _decode_outcomes(values: Sequence[float], source: str) -> np.ndarray:
-    arr = np.asarray(values)
-    unique = set(arr.tolist())
-    if unique <= {-1.0, 1.0}:
-        return arr.astype(np.int64)
-    if unique <= {0.0, 1.0}:
-        return (2 * arr - 1).astype(np.int64)
-    bad = sorted(unique - {-1.0, 0.0, 1.0})
-    raise DomainError(f"{source}: outcome values must be +1/-1 or 0/1, saw {bad[:5]}")
+def _read_lines(path: Path) -> np.ndarray:
+    """One number per line, parsed by numpy's C reader.
+
+    A file it rejects (or reads as more than one column) is read again a
+    line at a time with str.splitlines and float, which accept a little
+    more (other line breaks, underscores in digits) and otherwise name the
+    first line that is not a number.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, comments=None, delimiter=",", ndmin=2)
+        if table.shape[1] == 1:
+            return table[:, 0]
+    except ValueError:
+        pass
+    values = []
+    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+        token = line.strip()
+        if not token:
+            continue
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise InputError(
+                f"{path}:{line_no}: {token!r} is not numeric "
+                "(pass a column name for CSV input)"
+            ) from None
+    return np.asarray(values, dtype=float)
+
+
+def _decode_outcomes(values: np.ndarray, source: str) -> np.ndarray:
+    signed = (values == -1.0) | (values == 1.0)
+    if signed.all():
+        return values.astype(np.int64)
+    binary = (values == 0.0) | (values == 1.0)
+    if binary.all():
+        return (2 * values - 1).astype(np.int64)
+    bad = np.unique(values[~(signed | binary)])[:5].tolist()
+    raise DomainError(
+        f"{source}: outcome values must be +1/-1 or 0/1, saw {bad or 'both -1 and 0'}"
+    )
+
+
+def _read_column(path: Path, pick: Callable[[list[str]], str]) -> list[float]:
+    """The numbers in one column of a CSV file whose first row is a header.
+
+    ``pick(header)`` names the column or raises InputError; of duplicate
+    names the last one counts, as with csv.DictReader. Blank rows and
+    empty cells are skipped. A row too short to hold the column, or a
+    cell that is not a number, is an InputError naming the line.
+    """
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            name = pick(header)
+            i = {key: index for index, key in enumerate(header)}[name]
+            return [float(row[i]) for row in reader if row and row[i]]
+        except IndexError:
+            raise InputError(f"{path}:{reader.line_num}: row has no {name!r} field") from None
+        except (ValueError, csv.Error) as exc:
+            raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_prices(path: str | Path) -> list[float]:
-    """Read the ``price`` column of a CSV file; other columns are ignored."""
+    """Read the ``price`` column of a CSV file; other columns are ignored.
+
+    The column is the first whose name is ``price`` up to case and
+    surrounding spaces; rows are read as ``_read_column`` describes.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        match = next((c for c in names if c.strip().lower() == "price"), None)
+
+    def pick(header: list[str]) -> str:
+        match = next((c for c in header if c.strip().lower() == "price"), None)
         if match is None:
-            raise InputError(f"{path}: no 'price' column in header {names}")
-        prices = [float(row[match]) for row in reader if row[match] != ""]
+            raise InputError(f"{path}: no 'price' column in header {header}")
+        return match
+
+    prices = _read_column(path, pick)
     if not prices:
         raise EmptyResult(f"{path}: no prices found")
     return prices

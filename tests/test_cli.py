@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kelly_memory import cli
-from strategies import valid_games
+from strategies import outcome_files, price_files, valid_games
 
 
 def run(capsys, *argv):
@@ -546,6 +547,20 @@ class TestRejectedInput:
         assert out == ""
         assert err.count("\n") == 1 and "finite" in err
 
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (("ingest",), "date,price\n1,100\n2\n3,101\n"),
+            (("estimate", "--m", "1", "--column", "move"), "day,move\n1,1\n2\n3,-1\n"),
+        ],
+    )
+    def test_short_csv_row(self, capsys, tmp_path, argv, text):
+        f = tmp_path / "rows.csv"
+        f.write_text(text)
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"{f}:3:" in err
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_precision_must_be_positive(self, capsys, value):
         with pytest.raises(SystemExit) as exc_info:
@@ -662,6 +677,52 @@ def cli_requests(draw):
     return argv, data, fmt or ("csv" if command == "scenario" else "json")
 
 
+def run_on_file(argv, data):
+    """cli.main(argv), {data} in argv naming a file that holds ``data``.
+
+    Any warning is raised as an error, so a run that warns fails the test.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        path.write_bytes(data.encode())
+        argv = [a.replace("{data}", str(path)) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def is_one_line_error(code, out, err) -> bool:
+    """Checks that the run either succeeded quietly or failed with exit 2/3,
+    no output and one stderr line; tells which."""
+    assert code in (0, 2, 3)
+    if code != 0:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return True
+    assert err == ""
+    return False
+
+
+def check_output(out, fmt):
+    """JSON with no non-finite constant, or CSV whose numeric cells are finite."""
+    if fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)
+        return
+    for line in out.splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), line
+
+
 class TestOutputContract:
     """Every run prints valid JSON or finite CSV, or exits 2/3 with one stderr line."""
 
@@ -669,30 +730,33 @@ class TestOutputContract:
     @given(request=cli_requests())
     def test_valid_output_or_one_line_error(self, request):
         argv, data, fmt = request
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "outcomes.txt"
-            path.write_text(data)
-            argv = [a.replace("{data}", str(path)) for a in argv]
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 2, 3)
-        if code != 0:
-            assert out == ""
-            assert err.count("\n") == 1 and err.endswith("\n")
-            return
-        assert err == ""
-        if fmt == "json":
-            json.loads(out, parse_constant=_reject_constant)
-            return
-        for line in out.splitlines()[1:]:
-            for cell in line.split(","):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    continue
-                assert math.isfinite(value), line
+        code, out, err = run_on_file(argv, data)
+        if not is_one_line_error(code, out, err):
+            check_output(out, fmt)
+
+
+class TestFileContract:
+    """The same contract over file contents: blank and padded lines, CRLF,
+    short, long and quoted rows, non-numeric and non-finite values."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(text=price_files(), tie=st.sampled_from(("drop", "up", "down")))
+    def test_ingest(self, text, tie):
+        code, out, err = run_on_file(["ingest", "{data}", f"--tie={tie}"], text)
+        if not is_one_line_error(code, out, err):
+            assert out and set(out.splitlines()) <= {"+1", "-1"}
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        case=outcome_files(),
+        m=st.integers(1, 3),
+        constrained=st.booleans(),
+        fmt=st.sampled_from(("json", "csv")),
+    )
+    def test_estimate(self, case, m, constrained, fmt):
+        text, column = case
+        argv = ["estimate", "{data}", f"--m={m}", f"--format={fmt}"]
+        argv += ["--constrained"] * constrained + [f"--column={column}"] * (column is not None)
+        code, out, err = run_on_file(argv, text)
+        if not is_one_line_error(code, out, err):
+            check_output(out, fmt)

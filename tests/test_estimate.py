@@ -1,8 +1,11 @@
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import estimate, model, simulate
@@ -12,8 +15,10 @@ from kelly_memory.errors import (
     EmptyResult,
     InputError,
     InsufficientData,
+    NonConvergence,
     SingularDesign,
 )
+from strategies import outcome_files, price_files, valid_games
 
 
 def simulate_outcomes(omega, history, n, seed):
@@ -309,6 +314,16 @@ class TestFileIO:
         f.write_text("date,price,volume\na,100,5\nb,101,6\nc,99,2\n")
         assert estimate.read_prices(f) == [100.0, 101.0, 99.0]
 
+    @pytest.mark.parametrize("header", ["price,price", "price, Price", "move,move"])
+    def test_duplicate_column_names(self, tmp_path, header):
+        # The last column of a repeated name counts, as with csv.DictReader.
+        f = tmp_path / "p.csv"
+        f.write_text(f"{header}\n1,2\n1,-1\n")
+        assert outcome(estimate.read_prices, f) == outcome(bruteforce.read_prices, f)
+        assert outcome(estimate.read_outcomes, f, "move") == outcome(
+            bruteforce.read_outcomes, f, "move"
+        )
+
     def test_prices_missing_column(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,close\na,100\n")
@@ -322,3 +337,147 @@ class TestFileIO:
         assert set(payload) == {"omega", "rss", "constrained", "projected"}
         assert json.dumps(payload)  # serializable
         assert payload["constrained"] is False
+
+
+def outcome(fn, *args):
+    """fn's values as text (so NaN equals NaN), or the error's class and its 'path:line' prefix."""
+    try:
+        return repr([float(v) for v in fn(*args)])
+    except InputError as exc:
+        return type(exc), str(exc).split(": ")[0]
+
+
+def in_file(text):
+    """(directory, path): ``text`` written byte for byte to a file in a new
+    temporary directory, removed when the directory is cleaned up."""
+    tmp = tempfile.TemporaryDirectory()
+    path = Path(tmp.name) / "data.csv"
+    path.write_bytes(text.encode())
+    return tmp, path
+
+
+TIE_RULES = ("drop", "up", "down")
+
+
+class TestLoopOracles:
+    """The array readers and ingest match the line-at-a-time versions exactly."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        prices=st.lists(
+            st.one_of(
+                st.sampled_from((100.0, 101.0, 99.5, 5e-324, 1e308)),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=20,
+        )
+    )
+    def test_ingest_prices(self, prices):
+        for rule in TIE_RULES:
+            assert outcome(estimate.ingest_prices, prices, rule) == outcome(
+                bruteforce.ingest_prices, prices, rule
+            )
+
+    @settings(deadline=None, max_examples=150)
+    @given(text=price_files())
+    def test_price_files(self, text):
+        tmp, path = in_file(text)
+        with tmp:
+            assert outcome(estimate.read_prices, path) == outcome(bruteforce.read_prices, path)
+            try:
+                prices = estimate.read_prices(path)
+            except InputError:
+                return
+            for rule in TIE_RULES:
+                assert outcome(estimate.ingest_prices, prices, rule) == outcome(
+                    bruteforce.ingest_prices, prices, rule
+                )
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=outcome_files())
+    def test_outcome_files(self, case):
+        text, column = case
+        tmp, path = in_file(text)
+        with tmp:
+            assert outcome(estimate.read_outcomes, path, column) == outcome(
+                bruteforce.read_outcomes, path, column
+            )
+
+    @pytest.mark.parametrize(
+        "text", ["1\u20281\n", "1\x0b-1\n", " \t\n1\n", "1_0\n", "1\n\x1e\n"]
+    )
+    def test_lines_numpy_rejects(self, tmp_path, text):
+        # Line breaks and digit forms that str.splitlines and float accept
+        # but numpy's reader does not; the line-at-a-time reread takes them.
+        path = tmp_path / "o.txt"
+        path.write_bytes(text.encode())
+        assert outcome(estimate.read_outcomes, path) == outcome(bruteforce.read_outcomes, path)
+
+
+def reference_fit(obs, constrained):
+    """The fit by orthogonal factorization of a row-by-row design.
+
+    Returns None for a singular design. The constrained fit runs the
+    package's projected gradient from the projected lstsq point.
+    """
+    X, y = bruteforce.regression(obs.data, obs.m)
+    s = np.linalg.svd(X, compute_uv=False)
+    if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= 1e-10:
+        return None
+    w = np.linalg.lstsq(X, y, rcond=None)[0]
+    radius = estimate.DIAMOND_RADIUS
+    if constrained and abs(w[0] - 0.5) + np.abs(w[1:]).sum() > radius:
+        scale = 2.0 / X.shape[0]
+        gram, xty = scale * (X.T @ X), scale * (X.T @ y)
+        step = 1.0 / estimate._power_lmax(gram)
+        w = estimate.project_hyperdiamond(w, radius)
+        for _ in range(10_000):
+            w_next = estimate.project_hyperdiamond(w - step * (gram @ w - xty), radius)
+            change = np.abs(w_next - w).max()
+            w = w_next
+            if change < 1e-10:
+                break
+        else:
+            return NonConvergence
+    return w, float(np.sum((y - X @ w) ** 2))
+
+
+class TestSolverEquivalence:
+    """Normal equations against lstsq on the same regression."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(game=valid_games(), n=st.integers(10, 400), seed=st.integers(0, 2**32 - 1),
+           constrained=st.booleans())
+    def test_matches_lstsq(self, game, n, seed, constrained):
+        params, history = game
+        assume(params.m <= 4)
+        spec = model.GameSpec(params=params, history=history, n=n)
+        obs = estimate.ObservationSet(data=simulate.sample_path(spec, stream_seed=seed), m=params.m)
+        assume(len(obs) - obs.m >= obs.m + 2)
+        fit = estimate.constrained_fit if constrained else estimate.ols_fit
+        ref = reference_fit(obs, constrained)
+        if ref is None:
+            with pytest.raises(SingularDesign):
+                fit(obs)
+            return
+        if ref is NonConvergence:
+            with pytest.raises(NonConvergence):
+                fit(obs)
+            return
+        w, rss = ref
+        got = fit(obs)
+        np.testing.assert_allclose(got.omega_hat, w, rtol=0, atol=1e-12)
+        assert got.rss == pytest.approx(rss, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("fit", [estimate.ols_fit, estimate.constrained_fit])
+    @pytest.mark.parametrize(
+        "data,m",
+        [
+            ((1,) * 50, 1),  # constant
+            ((-1,) * 49 + (1,), 2),  # constant lags but one response
+            (tuple(1 if i % 2 else -1 for i in range(50)), 2),  # x_{t-2} = -x_{t-1}
+        ],
+    )
+    def test_singular_designs(self, fit, data, m):
+        with pytest.raises(SingularDesign):
+            fit(estimate.ObservationSet(data=data, m=m))
