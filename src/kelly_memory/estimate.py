@@ -10,9 +10,11 @@ via projected gradient descent on the same system, with an exact l1-ball
 projection in the coordinates shifted by the diamond center.
 
 Also provides ingestion of price series into +1/-1 move sequences and the
-file formats consumed by the CLI. Files are parsed in C (numpy's text
-reader, the csv module) and the moves are taken in one array pass; blank
-lines are skipped, and a bad line is reported with its number.
+file formats consumed by the CLI. Values are parsed by numpy's C text
+reader (a CSV header by the csv module) and the moves are taken in one
+array pass; blank lines are skipped. A file the C reader rejects is read
+again line by line, which names the bad line; a file that cannot be
+decoded as text is reported without a line number.
 """
 
 from __future__ import annotations
@@ -297,10 +299,26 @@ def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
                 raise InputError(f"{path}: no column named {column!r}")
             return column
 
-        values = np.asarray(_read_column(path, pick), dtype=float)
+        values = _read_column(path, pick)
     if values.size == 0:
         raise EmptyResult(f"{path}: no outcome values found")
     return _decode_outcomes(values, str(path))
+
+
+def _loadtxt(path: Path, **kwargs) -> np.ndarray | None:
+    """Comma-separated numbers parsed by numpy's C reader, or None for a
+    file it rejects (an empty file gives an empty array)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(path, comments=None, delimiter=",", **kwargs)
+    except ValueError:
+        return None
+
+
+def _undecodable(path: Path, exc: UnicodeDecodeError) -> InputError:
+    # The codec's byte position counts from a buffered chunk, not the file.
+    return InputError(f"{path}: cannot decode the file as text ({exc.encoding}: {exc.reason})")
 
 
 def _read_lines(path: Path) -> np.ndarray:
@@ -311,16 +329,15 @@ def _read_lines(path: Path) -> np.ndarray:
     more (other line breaks, underscores in digits) and otherwise name the
     first line that is not a number.
     """
+    table = _loadtxt(path, ndmin=2)
+    if table is not None and table.shape[1] == 1:
+        return table[:, 0]
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(path, comments=None, delimiter=",", ndmin=2)
-        if table.shape[1] == 1:
-            return table[:, 0]
-    except ValueError:
-        pass
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     values = []
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         token = line.strip()
         if not token:
             continue
@@ -347,13 +364,15 @@ def _decode_outcomes(values: np.ndarray, source: str) -> np.ndarray:
     )
 
 
-def _read_column(path: Path, pick: Callable[[list[str]], str]) -> list[float]:
+def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
     """The numbers in one column of a CSV file whose first row is a header.
 
     ``pick(header)`` names the column or raises InputError; of duplicate
-    names the last one counts, as with csv.DictReader. Blank rows and
-    empty cells are skipped. A row too short to hold the column, or a
-    cell that is not a number, is an InputError naming the line.
+    names the last one counts, as with csv.DictReader. The rows after the
+    header are parsed by numpy's C reader. A file it rejects is read again
+    row by row with the csv module and float: blank rows and empty cells
+    are skipped, and a row too short to hold the column, or a cell that
+    is not a number, is an InputError naming the line.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -361,15 +380,21 @@ def _read_column(path: Path, pick: Callable[[list[str]], str]) -> list[float]:
             header = next(reader, [])
             name = pick(header)
             i = {key: index for index, key in enumerate(header)}[name]
-            return [float(row[i]) for row in reader if row and row[i]]
+            values = _loadtxt(path, quotechar='"', skiprows=reader.line_num, usecols=i, ndmin=1)
+            if values is None:
+                values = np.array([float(row[i]) for row in reader if row and row[i]])
+            return values
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
         except IndexError:
             raise InputError(f"{path}:{reader.line_num}: row has no {name!r} field") from None
         except (ValueError, csv.Error) as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def read_prices(path: str | Path) -> list[float]:
-    """Read the ``price`` column of a CSV file; other columns are ignored.
+def read_prices(path: str | Path) -> np.ndarray:
+    """Read the ``price`` column of a CSV file as a float64 array; other
+    columns are ignored.
 
     The column is the first whose name is ``price`` up to case and
     surrounding spaces; rows are read as ``_read_column`` describes.
@@ -383,6 +408,6 @@ def read_prices(path: str | Path) -> list[float]:
         return match
 
     prices = _read_column(path, pick)
-    if not prices:
+    if prices.size == 0:
         raise EmptyResult(f"{path}: no prices found")
     return prices

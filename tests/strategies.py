@@ -20,13 +20,21 @@ def valid_games(draw):
 
 
 PADS = st.sampled_from(("", " ", "\t"))
-LINE_ENDS = st.sampled_from(("\n", "\r\n"))
+LINE_ENDS = st.sampled_from(("\n", "\r\n", "\r"))
 SIGNED = st.sampled_from(("1", "-1", "+1", "-1.0"))
 BINARY = st.sampled_from(("0", "1", "0.0"))
 OUTCOME_NOISE = st.sampled_from(("", " ", "2", "nan", "inf", "x", "1_0", "0x1", "1e400"))
 PRICES = st.sampled_from(("100", "101", "99.5", "100.0", "1e2", "1e-320"))
-PRICE_NOISE = st.sampled_from(("", " ", "0", "-3", "nan", "inf", "-inf", "x", "1e400"))
-OTHER_CELLS = st.sampled_from(("7", "x", "", '"a, b"', '"say ""hi"""'))
+# float() reads 1_000 and numpy's reader does not; both read Infinity and
+# reject 0x1p3.
+PRICE_NOISE = st.sampled_from(
+    ("", " ", "0", "-3", "nan", "inf", "-inf", "x", "1e400", "1_000", "Infinity", "0x1p3")
+)
+# A quoted cell may span lines; after a space a quote is a plain character,
+# so ' "a, b"' is two cells.
+OTHER_CELLS = st.sampled_from(
+    ("7", "x", "", '"a, b"', '"say ""hi"""', '"two\nlines"', '"two\r\nlines"', ' "a, b"')
+)
 
 
 @st.composite
@@ -57,14 +65,16 @@ def outcome_lines(draw):
 def csv_files(draw, names, good, noise, missing):
     """Text of a CSV file whose header holds one of ``names`` among other columns.
 
-    Rows are full, blank or carry an extra field, and other cells hold
-    quoted commas and quotes; the value cell is sometimes quoted. Half the
+    Rows are full, blank or carry an extra field, and other cells (and
+    header names) hold quoted commas, quotes and line breaks, or a quote
+    after a space; the value cell is sometimes quoted. Half the
     files also hold rows cut short before the value column and values
     drawn from ``noise``, and now and then name the column ``missing``.
     """
     noisy = draw(st.booleans())
     noise = noise if noisy else None
-    extras = draw(st.lists(st.sampled_from(("date", "volume", '"note, quoted"')), max_size=2))
+    extra_names = ("date", "volume", '"note, quoted"', '"two\nline note"')
+    extras = draw(st.lists(st.sampled_from(extra_names), max_size=2))
     at = draw(st.integers(0, len(extras)))
     name = missing if noisy and draw(st.integers(0, 4)) == 0 else draw(names)
     header = extras[:at] + [name] + extras[at:]

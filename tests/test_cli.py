@@ -561,6 +561,28 @@ class TestRejectedInput:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and f"{f}:3:" in err
 
+    # The bad byte past the first buffered chunk, in a cell that is not read.
+    LATE_BAD_BYTE = b"date,price,note\n" + b"1,100,x\n" * 20_000 + b"2,101,\xff\n"
+
+    @pytest.mark.parametrize(
+        "argv,data",
+        [
+            (("ingest",), b"price\n100\n\xff\xfe\n101\n"),
+            (("ingest",), LATE_BAD_BYTE),
+            (("estimate", "--m", "1", "--column", "price"), LATE_BAD_BYTE),
+            (("estimate", "--m", "1"), b"1\n-1\n\xff\n1\n"),
+        ],
+        ids=["prices", "prices-late", "column-late", "lines"],
+    )
+    def test_undecodable_file(self, capsys, tmp_path, argv, data):
+        # The codec fails on a buffered chunk, so no line number is given.
+        f = tmp_path / "f.csv"
+        f.write_bytes(data)
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {f}: cannot decode the file as text (")
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
     def test_precision_must_be_positive(self, capsys, value):
         with pytest.raises(SystemExit) as exc_info:

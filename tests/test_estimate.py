@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 import tempfile
@@ -312,7 +313,36 @@ class TestFileIO:
     def test_prices_csv(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("date,price,volume\na,100,5\nb,101,6\nc,99,2\n")
-        assert estimate.read_prices(f) == [100.0, 101.0, 99.0]
+        assert estimate.read_prices(f).tolist() == [100.0, 101.0, 99.0]
+
+    def test_well_formed_csv_is_parsed_by_numpy(self, tmp_path, monkeypatch):
+        # Only the header passes through the csv module; a slide back to the
+        # row-by-row reader would otherwise show only as lost speed. The
+        # header spans two lines, which the C reader must skip.
+        rows, reader = [], csv.reader
+
+        class CountingReader:
+            def __init__(self, *args, **kwargs):
+                self._reader = reader(*args, **kwargs)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                rows.append(next(self._reader))
+                return rows[-1]
+
+            @property
+            def line_num(self):
+                return self._reader.line_num
+
+        monkeypatch.setattr(estimate.csv, "reader", CountingReader)
+        body = "".join(f'{i},"note, {i}",{100 + i % 7}\r\n' for i in range(1000))
+        f = tmp_path / "p.csv"
+        f.write_bytes(('date,"a ""quoted""\r\nnote",price\r\n' + body).encode())
+        prices = estimate.read_prices(f)
+        assert prices.tolist() == [100.0 + i % 7 for i in range(1000)]
+        assert rows == [["date", 'a "quoted"\r\nnote', "price"]]
 
     @pytest.mark.parametrize("header", ["price,price", "price, Price", "move,move"])
     def test_duplicate_column_names(self, tmp_path, header):
