@@ -4,16 +4,20 @@ Outcome paths are sampled with the Philox counter-based generator, one
 model.transition_table lookup per step. Paths are processed in fixed
 blocks of ``BLOCK_PATHS``; block b draws its uniforms from
 ``Philox(key=seed).jumped(b)``, so every block owns a disjoint,
-scheduling-independent slice of the stream and a given (config, seed)
-pair reproduces bit-identical results no matter how the blocks are
-executed. Per-path statistics are materialized in block order and
-reduced with numpy's pairwise summation, keeping the reduction order
-fixed as well.
+scheduling-independent slice of the stream. The blocks are spread over
+one worker thread per usable CPU, and each block writes its own rows of
+the per-path results, so a given (config, seed) pair reproduces
+bit-identical results at any thread count. A block is sampled as head
+flags, one row per step, and each policy's log growth is summed straight
+from them. Per-path statistics are reduced with numpy's pairwise
+summation over the whole run, keeping the reduction order fixed as well.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,12 +43,14 @@ class SimConfig:
     initial_value: float = 1.0
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise DomainError(f"path count must be >= 1, got {self.paths}")
-        if not 0 <= self.seed < 2**64:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise DomainError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        if self.initial_value <= 0:
-            raise DomainError("initial account value must be positive")
+        if not 0 < self.initial_value < math.inf:
+            raise DomainError("initial account value must be positive and finite")
         check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
             if (
@@ -87,23 +93,57 @@ class ScenarioRow:
     kn: float
 
 
-def check_budget(n: int, paths: int, policies: int) -> None:
-    """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or all of them where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS or Windows
+        return os.cpu_count() or 1
 
-    The byte count is an upper estimate. Per stage STAGE_BYTES, the analytic
-    layer's bound, which covers the p_k pass and the vector bettor's
-    fractions. Per block cell 24, with room to spare: the uniforms, whose
-    buffer becomes the +1/-1 block (8), the head flags (1), the previous
-    block the reduction still holds (8) and its boolean temporaries (1). Per
-    path 8 for each policy's growth array and 24 for the reduction's
-    temporaries.
+
+def _worker_bytes(rows: int, n: int) -> int:
+    """One sampling worker's buffers, for blocks of ``rows`` paths of ``n`` steps.
+
+    Per block cell 17: the uniforms (8), their transposed copy (8) and the
+    head flags (1). Per row 64: the state, the thresholds and the vector
+    bettors' index and term (8 each), and up to four temporaries of the
+    constant bettors' sums.
     """
-    need = STAGE_BYTES * n + 24 * min(paths, BLOCK_PATHS) * n + 8 * (policies + 3) * paths
+    return 17 * rows * n + 64 * rows
+
+
+def _workers(n: int, paths: int, held: int) -> int:
+    """Worker threads for a run of ``paths`` paths of ``n`` steps.
+
+    ``held`` counts the bytes the run holds besides its workers' buffers.
+    The request is accepted when it fits in MEMORY_BUDGET with one worker,
+    so the same request is accepted on every machine. It then gets one
+    worker per usable CPU, but no more workers than blocks, and no more
+    than fit in the budget.
+    """
+    if paths < 1:
+        raise DomainError(f"path count must be >= 1, got {paths}")
+    worker = _worker_bytes(min(paths, BLOCK_PATHS), n)
+    need = held + worker
     if need > MEMORY_BUDGET:
         raise DomainError(
             f"{paths} paths of {n} bets need about {need / 2**30:.3g} GiB, "
             f"over the {MEMORY_BUDGET / 2**30:g} GiB budget"
         )
+    blocks = -(-paths // BLOCK_PATHS)
+    return min(_usable_cpus(), blocks, 1 + (MEMORY_BUDGET - need) // worker)
+
+
+def check_budget(n: int, paths: int, policies: int) -> int:
+    """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
+
+    The byte count is an upper estimate: STAGE_BYTES per stage, the
+    analytic layer's bound, which covers the p_k pass and the vector
+    bettor's fractions; one sampling worker's buffers; and per path 8 for
+    each policy's growth array, the statistics' scratch array and
+    np.std's temporary. Returns the number of worker threads the run uses.
+    """
+    return _workers(n, paths, STAGE_BYTES * n + 8 * (policies + 2) * paths)
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -117,24 +157,76 @@ def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
     return np.where(heads, 1, -1)
 
 
-def _blocks(spec: model.GameSpec, paths: int, seed: int):
-    """Yield a run's (rows, n) +1/-1 blocks in order, one table gather per step."""
+def _blocks(table, state0, n, rows, seed, jobs):
+    """Yield (heads, start, stop) for each (block, start, stop) job, in order.
+
+    ``heads`` holds the block's head flags, one row per step; it is
+    overwritten by the next block. The buffers live as long as the
+    generator, and only numpy runs here.
+    """
+    u = np.empty((rows, n))
+    ut = np.empty((n, rows))
+    heads = np.empty((n, rows), dtype=bool)
+    state = np.empty(rows, dtype=np.intp)
+    threshold = np.empty(rows)
+    mask = table.size - 1
+    for b, start, stop in jobs:
+        r = stop - start
+        np.random.Generator(np.random.Philox(key=seed).jumped(b)).random(out=u[:r])
+        np.copyto(ut[:, :r], u[:r].T)
+        s, t, h = state[:r], threshold[:r], heads[:, :r]
+        s.fill(state0)
+        for k in range(n):
+            np.take(table, s, out=t, mode="clip")  # "raise" would buffer the output
+            np.less(ut[k, :r], t, out=h[k])
+            np.left_shift(s, 1, out=s)
+            np.bitwise_or(s, h[k], out=s)
+            np.bitwise_and(s, mask, out=s)
+        yield h, start, stop
+
+
+def _run_blocks(spec: model.GameSpec, paths: int, seed: int, workers: int, work) -> None:
+    """Sample every block of a run, split statically over ``workers`` threads.
+
+    Each thread calls ``work`` once, on a generator of its blocks (see
+    _blocks), and writes the rows of the output that those blocks own.
+    Workers call no public function of the package.
+    """
+    # Imported here, so the CLI's start-up does not pay about 8 ms for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     table = model.transition_table(spec.params)
-    for b, start in enumerate(range(0, paths, BLOCK_PATHS)):
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-        u = gen.random((min(BLOCK_PATHS, paths - start), spec.n))
-        heads = np.empty(u.shape, dtype=bool)
-        state = np.full(u.shape[0], spec.history.state)
-        for k in range(spec.n):
-            head = np.less(u[:, k], table[state], out=heads[:, k])
-            state = ((state << 1) | head) & (table.size - 1)
-        x = u.view(np.int64)  # 2 * heads - 1, written over the uniforms' buffer
-        yield np.subtract(np.multiply(heads, 2, out=x), 1, out=x)
+    jobs = [
+        (b, start, min(start + BLOCK_PATHS, paths))
+        for b, start in enumerate(range(0, paths, BLOCK_PATHS))
+    ]
+    args = (table, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed)
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [
+            pool.submit(lambda own: work(_blocks(*args, own)), jobs[w::workers])
+            for w in range(workers)
+        ]
+        for future in futures:
+            future.result()
 
 
 def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
-    """Sample ``paths`` outcome paths as a (paths, n) +1/-1 array."""
-    return np.vstack(list(_blocks(spec, paths, seed)))
+    """Sample ``paths`` outcome paths as a (paths, n) +1/-1 array.
+
+    The array and one worker's buffers must fit in MEMORY_BUDGET; a larger
+    request raises DomainError before anything is allocated.
+    """
+    workers = _workers(spec.n, paths, 8 * paths * spec.n)
+    x = np.empty((paths, spec.n), dtype=np.int64)
+
+    def write(blocks):
+        for heads, start, stop in blocks:
+            block = x[start:stop]
+            np.multiply(heads.T, 2, out=block)
+            np.subtract(block, 1, out=block)
+
+    _run_blocks(spec, paths, seed, workers, write)
+    return x
 
 
 def run_bettor(
@@ -153,20 +245,6 @@ def run_bettor(
     return initial_value * np.cumprod(1.0 + ks * x)
 
 
-def _log_growth(x: np.ndarray, pol: policy_mod.BettorPolicy) -> np.ndarray:
-    """Per-path log(V_n / V_0) for a block of outcome paths."""
-    n = x.shape[1]
-    if pol.kind is policy_mod.PolicyKind.TIME_INVARIANT:
-        k = pol.fractions[0]
-        heads = (x == 1).sum(axis=1)
-        return heads * math.log1p(k) + (n - heads) * math.log1p(-k)
-    total = np.zeros(x.shape[0])
-    for j in range(n):
-        k = pol.fractions[j]
-        total = total + np.where(x[:, j] == 1, math.log1p(k), math.log1p(-k))
-    return total
-
-
 def _analytic_elg(spec: model.GameSpec, pol: policy_mod.BettorPolicy) -> float:
     if pol.kind is policy_mod.PolicyKind.TIME_INVARIANT:
         return policy_mod.elg_time_invariant(spec, pol.fractions[0])
@@ -180,31 +258,59 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     log(V_n/V_0)/n over all paths, the analytic ELG, and the 5/50/95
     percent quantiles of the final account value.
     """
-    spec = config.spec
-    m_paths = config.paths
+    spec, m_paths, n = config.spec, config.paths, config.spec.n
+    workers = check_budget(n, m_paths, len(config.policies))
+    rows = min(m_paths, BLOCK_PATHS)
     growth = {name: np.empty(m_paths) for name, _ in config.policies}
-    offset = 0
-    for x in _blocks(spec, m_paths, config.seed):
-        for name, pol in config.policies:
-            growth[name][offset : offset + len(x)] = _log_growth(x, pol)
-        offset += len(x)
+    constant, vector = [], []
+    for name, pol in config.policies:
+        if pol.kind is policy_mod.PolicyKind.TIME_INVARIANT:
+            k = pol.fractions[0]
+            constant.append((growth[name], math.log1p(k), math.log1p(-k)))
+        else:
+            # Per stage, the log growth after a tail and after a head.
+            logs = [np.array([math.log1p(-k), math.log1p(k)]) for k in pol.fractions]
+            vector.append((growth[name], logs))
 
+    def log_growth(blocks):
+        # log(V_n / V_0) of each path: a constant bettor's from its head
+        # count, a vector bettor's summed stage by stage from the left.
+        index, term = np.empty(rows, dtype=np.intp), np.empty(rows)
+        for heads, start, stop in blocks:
+            if constant:
+                count = heads.sum(axis=0)
+                for out, up, down in constant:
+                    out[start:stop] = count * up + (n - count) * down
+            i, t = index[: stop - start], term[: stop - start]
+            for out, logs in vector:
+                total = out[start:stop]
+                total.fill(0.0)
+                for h, lut in zip(heads, logs):
+                    np.copyto(i, h)
+                    total += np.take(lut, i, out=t, mode="clip")
+
+    _run_blocks(spec, m_paths, config.seed, workers, log_growth)
+
+    # One scratch array holds each policy's g and then its final values, so
+    # the statistics allocate nothing path-sized beyond np.std's temporary.
+    scratch = np.empty(m_paths)
     stats = []
     for name, pol in config.policies:
         log_vn = growth[name]
-        g = log_vn / spec.n
+        g = np.divide(log_vn, n, out=scratch)
         mean = float(np.mean(g))
         if m_paths > 1:
             std_error = float(np.std(g, ddof=1) / math.sqrt(m_paths))
         else:
             std_error = 0.0
         with np.errstate(over="ignore"):
-            finals = config.initial_value * np.exp(log_vn)
+            finals = np.exp(log_vn, out=scratch)
+            finals *= config.initial_value
         if finals.max() == math.inf:
             raise NumericalError(
                 f"final account value of policy {name!r} overflows, so it is not finite"
             )
-        q = np.quantile(finals, _QUANTILES)
+        q = np.quantile(finals, _QUANTILES, overwrite_input=True)
         stats.append(
             PolicyStats(
                 name=name,

@@ -4,7 +4,10 @@ Deliberately independent of the library internals: probabilities come from
 walking every outcome path with itertools, never from the p_k recursion or
 any vectorized code under test; price and outcome files are read one line
 and one value at a time, as the package did before its readers were
-vectorized.
+vectorized. The Monte Carlo oracle is the block-at-a-time loop simulate ran
+before its sampler and reduction were fused and spread over threads: it
+shares only the stream's definition (model.transition_table, Philox
+jumped once per block) and the result types.
 """
 
 import csv
@@ -13,7 +16,8 @@ import math
 
 import numpy as np
 
-from kelly_memory.errors import DomainError, EmptyResult, InputError
+from kelly_memory import model, policy, simulate
+from kelly_memory.errors import DomainError, EmptyResult, InputError, NumericalError
 
 
 def conditional_head_prob(omega, window):
@@ -163,3 +167,70 @@ def regression(data, m):
     X = [[1.0] + [float(data[t - i]) for i in range(1, m + 1)] for t in range(m, len(data))]
     y = [(data[t] + 1) / 2 for t in range(m, len(data))]
     return np.array(X), np.array(y)
+
+
+def sample_blocks(spec, paths, seed):
+    """Yield a run's (rows, n) +1/-1 blocks in order, one table gather per step."""
+    table = model.transition_table(spec.params)
+    for b, start in enumerate(range(0, paths, simulate.BLOCK_PATHS)):
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        u = gen.random((min(simulate.BLOCK_PATHS, paths - start), spec.n))
+        heads = np.empty(u.shape, dtype=bool)
+        state = np.full(u.shape[0], spec.history.state)
+        for k in range(spec.n):
+            head = np.less(u[:, k], table[state], out=heads[:, k])
+            state = ((state << 1) | head) & (table.size - 1)
+        yield np.where(heads, 1, -1)
+
+
+def sample_paths(spec, paths, seed):
+    return np.vstack(list(sample_blocks(spec, paths, seed)))
+
+
+def log_growth(x, pol):
+    """Per-path log(V_n / V_0) for a block of outcome paths."""
+    n = x.shape[1]
+    if pol.kind is policy.PolicyKind.TIME_INVARIANT:
+        k = pol.fractions[0]
+        heads = (x == 1).sum(axis=1)
+        return heads * math.log1p(k) + (n - heads) * math.log1p(-k)
+    total = np.zeros(x.shape[0])
+    for j in range(n):
+        k = pol.fractions[j]
+        total = total + np.where(x[:, j] == 1, math.log1p(k), math.log1p(-k))
+    return total
+
+
+def monte_carlo_elg(config):
+    """simulate.monte_carlo_elg one block at a time, on fresh arrays."""
+    spec, m_paths = config.spec, config.paths
+    growth = {name: np.empty(m_paths) for name, _ in config.policies}
+    offset = 0
+    for x in sample_blocks(spec, m_paths, config.seed):
+        for name, pol in config.policies:
+            growth[name][offset : offset + len(x)] = log_growth(x, pol)
+        offset += len(x)
+    stats = []
+    for name, pol in config.policies:
+        log_vn = growth[name]
+        g = log_vn / spec.n
+        std_error = float(np.std(g, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
+        with np.errstate(over="ignore"):
+            finals = config.initial_value * np.exp(log_vn)
+        if finals.max() == math.inf:
+            raise NumericalError(f"final account value of policy {name!r} overflows")
+        q = np.quantile(finals, (0.05, 0.5, 0.95))
+        if pol.kind is policy.PolicyKind.TIME_INVARIANT:
+            analytic = policy.elg_time_invariant(spec, pol.fractions[0])
+        else:
+            analytic = policy.elg_time_varying(spec, pol)
+        stats.append(
+            simulate.PolicyStats(
+                name=name,
+                mean_log_growth=float(np.mean(g)),
+                std_error=std_error,
+                analytic_elg=analytic,
+                final_value_quantiles=(float(q[0]), float(q[1]), float(q[2])),
+            )
+        )
+    return simulate.SimResult(paths=m_paths, seed=config.seed, stats=tuple(stats))

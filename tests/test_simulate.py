@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import inspect
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +176,17 @@ class TestSimConfig:
         with pytest.raises(DimensionMismatch):
             simulate.SimConfig(spec=SPEC_A2, policies=(("bad", bad),), paths=10)
 
+    def test_non_integral_seed_rejected(self):
+        # It used to run as seed 1 and echo seed=1.5 in the result.
+        with pytest.raises(DomainError, match="seed"):
+            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, seed=1.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_initial_value_rejected(self, value):
+        # NaN used to pass the positivity test and give NaN quantiles.
+        with pytest.raises(DomainError, match="initial account value"):
+            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, initial_value=value)
+
 
 class TestMemoryBudget:
     @pytest.mark.parametrize(
@@ -189,6 +204,132 @@ class TestMemoryBudget:
                 policies=(("k", policy.BettorPolicy.constant(0.1)),),
                 paths=10**6,
             )
+
+    def test_oversized_sample_paths_rejected_before_allocating(self):
+        spec = make_spec([0.55, 0.20], [1], n=10**6)
+        with pytest.raises(DomainError, match="budget"):
+            simulate.sample_paths(spec, paths=10**6, seed=0)
+
+    def test_workers_shrink_to_fit_the_budget(self, monkeypatch):
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=12)
+        paths = 2 * simulate.BLOCK_PATHS + 3
+        config = simulate.SimConfig(
+            spec=spec, policies=simulate.standard_policies(spec), paths=paths, seed=5
+        )
+        expected = bruteforce.monte_carlo_elg(config)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        assert simulate.check_budget(spec.n, paths, 3) == 3
+        worker = simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
+        one = simulate.STAGE_BYTES * spec.n + 8 * (3 + 2) * paths + worker
+        for budget, workers in ((one + 2 * worker, 3), (one + worker, 2), (one, 1)):
+            monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
+            assert simulate.check_budget(spec.n, paths, 3) == workers
+            with block_samplers() as threads:
+                assert simulate.monte_carlo_elg(config) == expected
+            assert len(threads) == workers
+        monkeypatch.setattr(simulate, "MEMORY_BUDGET", one - 1)
+        with pytest.raises(DomainError, match="budget"):
+            simulate.check_budget(spec.n, paths, 3)
+
+
+@contextlib.contextmanager
+def block_samplers():
+    """Yield a list of the threads that start a worker's blocks inside the with-block.
+
+    A pool thread that finishes its blocks early may take another
+    worker's, so the list has one entry per worker, not per thread.
+    """
+    threads, blocks = [], simulate._blocks
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return blocks(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_blocks", recorded)
+        yield threads
+
+
+PATH_COUNTS = (
+    1,
+    simulate.BLOCK_PATHS - 1,
+    simulate.BLOCK_PATHS + 1,
+    2 * simulate.BLOCK_PATHS + 3,
+)
+
+
+@st.composite
+def simulations(draw):
+    """A SimConfig over a game of depth <= 4: constant and vector policies, any sign."""
+    params, history = draw(valid_games().filter(lambda g: g[0].m <= 4))
+    spec = model.GameSpec(params=params, history=history, n=draw(st.integers(1, 40)))
+    fraction = st.floats(-0.99, 0.99, allow_subnormal=False)
+    policies = []
+    for i in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            pol = policy.BettorPolicy.constant(draw(fraction))
+        else:
+            pol = policy.BettorPolicy.varying(
+                draw(st.lists(fraction, min_size=spec.n, max_size=spec.n))
+            )
+        policies.append((f"p{i}", pol))
+    return simulate.SimConfig(
+        spec=spec,
+        policies=tuple(policies),
+        paths=draw(st.sampled_from(PATH_COUNTS)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestBlockParallel:
+    @settings(deadline=None, max_examples=30)
+    @given(config=simulations())
+    def test_equal_to_block_loop_at_any_worker_count(self, config):
+        expected = bruteforce.monte_carlo_elg(config)
+        expected_paths = bruteforce.sample_paths(config.spec, config.paths, config.seed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost write
+        try:
+            for workers in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(simulate, "_usable_cpus", lambda: workers)
+                    assert simulate.monte_carlo_elg(config) == expected
+                    got = simulate.sample_paths(config.spec, config.paths, config.seed)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, expected_paths)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_public_functions_run_on_the_main_thread_only(self, monkeypatch):
+        # A worker must not call into the package: a tracer that wraps the
+        # public functions keeps one stack of open spans, for one thread.
+        callers = []
+        for module in (model, policy, simulate):
+            for name, fn in list(vars(module).items()):
+                if (
+                    inspect.isfunction(fn)
+                    and fn.__module__ == module.__name__
+                    and not name.startswith("_")
+                ):
+                    def recorded(*args, _fn=fn, **kwargs):
+                        callers.append((_fn.__name__, threading.current_thread()))
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=9)
+        paths = 2 * simulate.BLOCK_PATHS + 3
+        with block_samplers() as threads:
+            simulate.monte_carlo_elg(
+                simulate.SimConfig(
+                    spec=spec, policies=simulate.standard_policies(spec), paths=paths
+                )
+            )
+            simulate.sample_paths(spec, paths, seed=4)
+        assert len(threads) == 6 and threading.main_thread() not in threads
+        names = {name for name, _ in callers}
+        assert {"monte_carlo_elg", "sample_paths", "transition_table"} <= names
+        assert all(thread is threading.main_thread() for _, thread in callers)
 
 
 class TestMonteCarloElg:
