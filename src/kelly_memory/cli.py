@@ -80,6 +80,16 @@ def _is_table(value) -> bool:
     return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
 
 
+def _distinct(seq) -> tuple[list[float], list[int]]:
+    """The distinct values of a float sequence, and each entry's index among them.
+
+    Values are told apart by bit pattern, so 0.0 and -0.0 stay apart.
+    """
+    bits = np.asarray(seq, dtype=float).view(np.int64)
+    values, index = np.unique(bits, return_inverse=True)
+    return values.view(float).tolist(), index.tolist()
+
+
 def render(record: dict, fmt: str, precision: int | None) -> str:
     """Write a command's record as one JSON line or as CSV; the CLI's one output rule.
 
@@ -89,7 +99,8 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
     non-finite one raises NumericalError, so no NaN or Infinity is printed.
     CSV prints the table, if there is one, and leaves out the other values.
     Otherwise it prints one name,value line per number: a sequence x as
-    x_0, x_1, ..., a bool as true/false, and no strings.
+    x_0, x_1, ..., a bool as true/false, and no strings. Each distinct
+    value of a sequence is formatted once.
     """
     default = JSON_SIG_DIGITS if fmt == "json" else CSV_SIG_DIGITS
     text = f"{{:.{precision or default}g}}".format
@@ -100,15 +111,23 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
                 return float(text(v))
             if _is_table(v):
                 return [{key: rounded(x) for key, x in row.items()} for row in v]
-            if isinstance(v, (list, tuple)):
-                return list(map(float, map(text, v)))
             return v
 
-        payload = {key: rounded(v) for key, v in record.items()}
+        def dumps(v) -> str:
+            # The text json.dumps(payload) would give, with its default separators.
+            if isinstance(v, (list, tuple)) and not _is_table(v):
+                distinct, index = _distinct(v)
+                # One json.dumps call: one per value costs four times as much.
+                texts = json.dumps(list(map(float, map(text, distinct))), allow_nan=False)
+                texts = texts[1:-1].split(", ")
+                return "[" + ", ".join([texts[i] for i in index]) + "]"
+            return json.dumps(rounded(v), allow_nan=False)
+
         try:
-            return json.dumps(payload, allow_nan=False) + "\n"
+            items = [json.dumps(key) + ": " + dumps(v) for key, v in record.items()]
         except ValueError:
             raise NumericalError("result is not finite, so it has no JSON form") from None
+        return "{" + ", ".join(items) + "}\n"
 
     def cell(v) -> str:
         if isinstance(v, bool):
@@ -127,7 +146,9 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
         lines = ["name,value"]
         for name, v in record.items():
             if isinstance(v, (list, tuple)):
-                lines += [f"{name}_{i},{cell(x)}" for i, x in enumerate(v)]
+                distinct, index = _distinct(v)
+                texts = [cell(x) for x in distinct]
+                lines += [f"{name}_{i},{texts[j]}" for i, j in enumerate(index)]
             elif not isinstance(v, str):
                 lines.append(f"{name},{cell(v)}")
     return "\n".join(lines) + "\n"

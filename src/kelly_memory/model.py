@@ -217,6 +217,14 @@ def prob_sequence(spec: GameSpec) -> np.ndarray:
     loop runs on Python floats: a numpy call per step costs more than the
     m multiply-adds it would do. Every analytic request walks this pass, so
     it checks the horizon against MEMORY_BUDGET before allocating.
+
+    The pass stops at the first repeated window it sees. The next p
+    depends only on the last m values, so once that window equals an
+    earlier one the rest of the sequence repeats the cycle between them
+    bit for bit, and the tail is filled with copies of it. Repeats are
+    found Brent-style, against a copy of the window taken at stages 1, 2,
+    4, ..., in O(1) extra memory. p stays inside (0, 1), never NaN or
+    -0.0, so == on the window means equal bits.
     """
     need = STAGE_BYTES * spec.n
     if need > MEMORY_BUDGET:
@@ -228,12 +236,23 @@ def prob_sequence(spec: GameSpec) -> np.ndarray:
     drift = spec.params.omega[0] - sum(w)
     # lags[i-1] holds p_{k-i}; starts at the induced initial conditions.
     lags = deque(spec.history.induced_probs, maxlen=spec.params.m)
-    out = [0.0] * spec.n
+    out = []
+    # The checkpoint: the window after stage ``at``, and its newest value.
+    saved, head, at, nxt = None, None, 0, 1
     for k in range(spec.n):
         p = drift + 2.0 * sum(map(mul, w, lags))
-        out[k] = p
+        out.append(p)
         lags.appendleft(p)
-    return np.array(out)
+        if p == head and lags == saved:
+            break
+        if k == nxt:
+            saved, head, at, nxt = lags.copy(), p, k, 2 * k
+    probs = np.array(out)
+    rest = spec.n - probs.size
+    if rest:  # stopped at stage k: p_{k+1}, p_{k+2}, ... repeat p_{at+1}, ..., p_k
+        cycle = probs[at + 1 :]  # np.tile: np.resize concatenates one array per copy
+        probs = np.concatenate((probs, np.tile(cycle, -(-rest // cycle.size))[:rest]))
+    return probs
 
 
 def closed_form_p_k(params: MemoryParams, p0: float, k: int) -> float:

@@ -53,9 +53,12 @@ class BettorPolicy:
             raise DimensionMismatch("time-invariant policy holds exactly one fraction")
         if not self.fractions:
             raise DimensionMismatch("policy needs at least one fraction")
-        for k in self.fractions:
-            if not -1.0 < k < 1.0:
-                raise DomainError(f"betting fraction {k} outside (-1, 1)")
+        # NaN fails the comparison, so it is outside too.
+        ks = np.asarray(self.fractions, dtype=float)
+        outside = np.flatnonzero(~(np.abs(ks) < 1.0))
+        if outside.size:
+            k = self.fractions[outside[0]]
+            raise DomainError(f"betting fraction {k} outside (-1, 1)")
 
     @classmethod
     def constant(cls, k: float) -> "BettorPolicy":
@@ -63,7 +66,7 @@ class BettorPolicy:
 
     @classmethod
     def varying(cls, ks: Sequence[float]) -> "BettorPolicy":
-        return cls(PolicyKind.TIME_VARYING, tuple(float(k) for k in ks))
+        return cls(PolicyKind.TIME_VARYING, tuple(np.asarray(ks, dtype=float).tolist()))
 
     def fraction_at(self, k: int) -> float:
         if self.kind is PolicyKind.TIME_INVARIANT:

@@ -7,16 +7,22 @@ and one value at a time, as the package did before its readers were
 vectorized. The Monte Carlo oracle is the block-at-a-time loop simulate ran
 before its sampler and reduction were fused and spread over threads: it
 shares only the stream's definition (model.transition_table, Philox
-jumped once per block) and the result types.
+jumped once per block) and the result types. The p_k loop and the CLI
+renderer are the versions that ran every stage and formatted every
+value, before the loop stopped at a repeated window and the renderer
+formatted each distinct value once.
 """
 
 import csv
 import itertools
+import json
 import math
+from collections import deque
+from operator import mul
 
 import numpy as np
 
-from kelly_memory import model, policy, simulate
+from kelly_memory import cli, model, policy, simulate
 from kelly_memory.errors import DomainError, EmptyResult, InputError, NumericalError
 
 
@@ -234,3 +240,61 @@ def monte_carlo_elg(config):
             )
         )
     return simulate.SimResult(paths=m_paths, seed=config.seed, stats=tuple(stats))
+
+
+def prob_sequence(spec):
+    """[p_0, ..., p_{n-1}]: the recursion walked for every one of the n stages."""
+    w = spec.params.omega[1:]
+    drift = spec.params.omega[0] - sum(w)
+    lags = deque(spec.history.induced_probs, maxlen=spec.params.m)
+    out = [0.0] * spec.n
+    for k in range(spec.n):
+        p = drift + 2.0 * sum(map(mul, w, lags))
+        out[k] = p
+        lags.appendleft(p)
+    return np.array(out)
+
+
+def render(record, fmt, precision):
+    """cli.render formatting every value on its own, JSON through one json.dumps."""
+    default = cli.JSON_SIG_DIGITS if fmt == "json" else cli.CSV_SIG_DIGITS
+    text = f"{{:.{precision or default}g}}".format
+    is_table = cli._is_table
+    if fmt == "json":
+
+        def rounded(v):
+            if isinstance(v, float):
+                return float(text(v))
+            if is_table(v):
+                return [{key: rounded(x) for key, x in row.items()} for row in v]
+            if isinstance(v, (list, tuple)):
+                return list(map(float, map(text, v)))
+            return v
+
+        payload = {key: rounded(v) for key, v in record.items()}
+        try:
+            return json.dumps(payload, allow_nan=False) + "\n"
+        except ValueError:
+            raise NumericalError("result is not finite, so it has no JSON form") from None
+
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise NumericalError(f"result {v} is not finite")
+            return text(v)
+        return str(v)
+
+    table = next((v for v in record.values() if is_table(v)), None)
+    if table is not None:
+        lines = [",".join(cli.CSV_COLUMN_NAMES.get(key, key) for key in table[0])]
+        lines += [",".join(map(cell, row.values())) for row in table]
+    else:
+        lines = ["name,value"]
+        for name, v in record.items():
+            if isinstance(v, (list, tuple)):
+                lines += [f"{name}_{i},{cell(x)}" for i, x in enumerate(v)]
+            elif not isinstance(v, str):
+                lines.append(f"{name},{cell(v)}")
+    return "\n".join(lines) + "\n"

@@ -6,9 +6,9 @@ from kelly_memory import model
 
 
 @st.composite
-def valid_games(draw):
-    """(params, history): depth 1 to 6, anywhere in the hyperdiamond."""
-    m = draw(st.integers(1, 6))
+def valid_games(draw, max_depth=6):
+    """(params, history): depth 1 to ``max_depth``, anywhere in the hyperdiamond."""
+    m = draw(st.integers(1, max_depth))
     coord = st.floats(-1.0, 1.0, allow_subnormal=False)
     raw = draw(st.lists(coord, min_size=m + 1, max_size=m + 1))
     radius = draw(st.floats(0.0, 0.5 - 1e-6))

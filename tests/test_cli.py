@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bruteforce
 from kelly_memory import cli
+from kelly_memory.errors import NumericalError
 from strategies import outcome_files, price_files, valid_games
 
 
@@ -519,6 +521,77 @@ class TestOutputFiles:
         )
         assert code == 0
         assert json.loads(out)["kstar"] == 0.167
+
+
+def render_outcome(render, record, fmt, precision):
+    try:
+        return render(record, fmt, precision)
+    except NumericalError:
+        return NumericalError
+
+
+FLOATS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.5, 1 / 3, -2.5e-7, 123456.5, sys.float_info.max)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def records(draw):
+    """A record as the commands build them: scalars, float sequences with
+    repeated values (both signed zeros among them, now and then a non-finite
+    one), empty sequences, and sometimes a table."""
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    seq = draw(st.lists(st.sampled_from(pool), max_size=40))
+    if seq and draw(st.integers(0, 4)) == 0:
+        for _ in range(draw(st.integers(1, 2))):
+            seq[draw(st.integers(0, len(seq) - 1))] = draw(NON_FINITE)
+    record = {
+        "x": draw(FLOATS),
+        "count": draw(st.integers(-(2**63), 2**63)),
+        "seq": draw(st.sampled_from((tuple, list)))(seq),
+        "ok": draw(st.booleans()),
+        "unit": "nats",
+        "empty": draw(st.sampled_from(((), []))),
+    }
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 4))
+        record["rows"] = [{"n": n, "name": "k", "v": draw(FLOATS)} for n in range(rows)]
+    keys = draw(st.permutations(list(record)))
+    return {key: record[key] for key in keys}
+
+
+class TestRender:
+    @settings(max_examples=200)
+    @given(
+        record=records(),
+        fmt=st.sampled_from(("json", "csv")),
+        precision=st.sampled_from((None, 1, 3, 6, 12, 17, 30)),
+    )
+    def test_equal_to_per_value_renderer(self, record, fmt, precision):
+        assert render_outcome(cli.render, record, fmt, precision) == render_outcome(
+            bruteforce.render, record, fmt, precision
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("precision", [None, 1, 4, 17])
+    def test_repeated_values_and_signed_zeros(self, fmt, precision):
+        record = {
+            "kvec": (0.1, 1 / 3, 0.1, -0.0, 0.0, 1 / 3, -0.0, 0.1),
+            "n": 123456789,
+            "k": [],
+            "seed": 2**64 - 1,
+        }
+        text = cli.render(record, fmt, precision)
+        assert text == bruteforce.render(record, fmt, precision)
+        assert "-0" in text
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sequence_value_raises(self, fmt, value):
+        with pytest.raises(NumericalError):
+            cli.render({"k": [0.5, value, 0.5]}, fmt, None)
 
 
 class TestRejectedInput:

@@ -201,6 +201,69 @@ class TestProbSequence:
             assert np.all(probs > 0) and np.all(probs < 1)
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def benchmark_shaped_game(rng, m, n):
+    """A game drawn as the benchmark draws its kelly game: l1 distance 0.45."""
+    shares = [0.2 + rng.random() for _ in range(m + 1)]
+    signed = [rng.choice((-1.0, 1.0)) * 0.45 * s / sum(shares) for s in shares]
+    return make_spec([0.5 + signed[0]] + signed[1:], bruteforce.random_history(rng, m), n)
+
+
+def walk(spec):
+    """prob_sequence(spec) and its loop steps, counted by the m calls to mul per step."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return a * b
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "mul", counted)
+        probs = model.prob_sequence(spec)
+    return probs, len(calls) // spec.params.m
+
+
+class TestRepeatedWindow:
+    @settings(deadline=None)
+    @given(game=valid_games(max_depth=8), n=st.integers(1, 3000))
+    def test_equal_to_full_loop(self, game, n):
+        params, history = game
+        spec = model.GameSpec(params=params, history=history, n=n)
+        assert same_bits(model.prob_sequence(spec), bruteforce.prob_sequence(spec))
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        lag=st.floats(0.4999, 0.5 - 2e-9),
+        sign=st.sampled_from((1.0, -1.0)),
+        head=st.sampled_from((1, -1)),
+        n=st.integers(1, 3000),
+    )
+    def test_near_boundary_game_without_repeat(self, lag, sign, head, n):
+        # |p_k - p_inf| shrinks by the factor 2 lag per stage, by far more
+        # than one ulp, so no window repeats and every stage is walked.
+        spec = make_spec([0.5, sign * lag], [head], n)
+        probs, steps = walk(spec)
+        assert steps == n
+        assert same_bits(probs, bruteforce.prob_sequence(spec))
+
+    def test_benchmark_shaped_game_stops_early(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            spec = benchmark_shaped_game(rng, 6, 100_000)
+            probs, steps = walk(spec)
+            assert steps < 2_000
+            assert same_bits(probs, bruteforce.prob_sequence(spec))
+
+    def test_constant_sequence_stops_at_its_first_checkpoints(self):
+        spec = make_spec([0.6, 0.0, 0.0], [1, -1], n=10**5)
+        probs, steps = walk(spec)
+        assert steps == 3
+        assert same_bits(probs, bruteforce.prob_sequence(spec))
+
+
 class TestClosedForm:
     def test_k0_returns_p0(self):
         params = model.validate_params([0.55, 0.20])

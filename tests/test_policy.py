@@ -37,6 +37,24 @@ class TestBettorPolicy:
         with pytest.raises(DomainError):
             policy.BettorPolicy.varying([0.2, -1.0])
 
+    @pytest.mark.parametrize(
+        "ks,bad",
+        [
+            ([0.2, math.nan, 1.5], "nan"),
+            (np.array([0.2, 0.1, -1.0, 2.0]), "-1.0"),
+            ((0.5, 1, 0.5), "1.0"),
+        ],
+    )
+    def test_first_bad_fraction_named(self, ks, bad):
+        with pytest.raises(DomainError, match=rf"^betting fraction {bad} outside"):
+            policy.BettorPolicy.varying(ks)
+
+    def test_varying_over_an_array_holds_python_floats(self):
+        ks = np.linspace(-0.9, 0.9, 7)
+        pol = policy.BettorPolicy.varying(ks)
+        assert pol.fractions == tuple(ks.tolist())
+        assert all(type(k) is float for k in pol.fractions)
+
     def test_constant_lookup(self):
         pol = policy.BettorPolicy.constant(0.3)
         assert pol.fraction_at(0) == pol.fraction_at(7) == 0.3

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bruteforce
 from strategies import valid_games
@@ -186,6 +186,45 @@ class TestSimConfig:
         # NaN used to pass the positivity test and give NaN quantiles.
         with pytest.raises(DomainError, match="initial account value"):
             simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, initial_value=value)
+
+    @pytest.mark.parametrize("paths", [1.5, 2.0])
+    def test_non_integral_path_count_rejected(self, paths):
+        # It used to be accepted, and monte_carlo_elg then raised TypeError.
+        with pytest.raises(DomainError, match="path count"):
+            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=paths)
+
+    def test_non_integral_path_count_rejected_by_sample_paths(self):
+        with pytest.raises(DomainError, match="path count"):
+            simulate.sample_paths(SPEC_A2, 2.5, 1)
+
+
+@st.composite
+def quantile_samples(draw):
+    """Arrays of 1, 2, 3 or up to 5,000 entries: heavy ties among a few values,
+    both signed zeros among them, mixed with values spread from 1e-300 to 1e300."""
+    size = draw(st.one_of(st.sampled_from((1, 2, 3)), st.integers(1, 5000)))
+    ties = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1e300, 1e300))
+    pool = np.array(draw(st.lists(ties, min_size=1, max_size=6)))
+    spread = draw(st.sampled_from((0.0, 0.01, 0.5, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.choice(pool, size)
+    far = rng.random(size) < spread
+    x[far] = rng.choice((-1.0, 1.0), far.sum()) * 10.0 ** rng.uniform(-300, 300, far.sum())
+    return x
+
+
+class TestQuantiles:
+    @settings(deadline=None)
+    @given(x=quantile_samples())
+    # At t = 0.5, _lerp's two formulas round these two apart.
+    @example(x=np.array([1.3875194574517177e-05, 5.859999419551642e-06]))
+    def test_equal_to_np_quantile(self, x):
+        # Adding 0.0 turns -0.0 into 0.0: which of two equal zeros a
+        # partition leaves at an index is fixed by neither method. Every
+        # other value must match bit for bit.
+        expected = np.quantile(x, simulate._QUANTILES) + 0.0
+        got = np.array(simulate._quantiles(x.copy())) + 0.0
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestMemoryBudget:
