@@ -54,7 +54,6 @@ from .estimate import (
     project_hyperdiamond,
 )
 from .simulate import (
-    ScenarioRow,
     SimConfig,
     SimResult,
     monte_carlo_elg,

@@ -76,82 +76,88 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _is_table(value) -> bool:
-    return isinstance(value, list) and bool(value) and isinstance(value[0], dict)
-
-
-def _distinct(seq) -> tuple[list[float], list[int]]:
-    """The distinct values of a float sequence, and each entry's index among them.
-
-    Values are told apart by bit pattern, so 0.0 and -0.0 stay apart.
-    """
-    bits = np.asarray(seq, dtype=float).view(np.int64)
-    values, index = np.unique(bits, return_inverse=True)
-    return values.view(float).tolist(), index.tolist()
-
-
 def render(record: dict, fmt: str, precision: int | None) -> str:
     """Write a command's record as one JSON line or as CSV; the CLI's one output rule.
 
     The record holds floats, ints, bools, strings, float sequences and at
-    most one table, a list of row dicts. Floats are rounded to ``precision``
-    significant digits (default JSON_SIG_DIGITS or CSV_SIG_DIGITS); a
-    non-finite one raises NumericalError, so no NaN or Infinity is printed.
-    CSV prints the table, if there is one, and leaves out the other values.
+    most one table, a dict of equal-length columns (lists or arrays).
+    Floats are rounded to ``precision`` significant digits (default
+    JSON_SIG_DIGITS or CSV_SIG_DIGITS); a non-finite one raises
+    NumericalError, so no NaN or Infinity is printed. Every value goes
+    through texts, one column at a time, so each column's distinct floats
+    are formatted once. JSON prints a table as a list of row objects. CSV
+    prints the table, if there is one, and leaves out the other values.
     Otherwise it prints one name,value line per number: a sequence x as
-    x_0, x_1, ..., a bool as true/false, and no strings. Each distinct
-    value of a sequence is formatted once.
+    x_0, x_1, ..., a bool as true/false, and no strings.
     """
     default = JSON_SIG_DIGITS if fmt == "json" else CSV_SIG_DIGITS
     text = f"{{:.{precision or default}g}}".format
-    if fmt == "json":
 
-        def rounded(v):
-            if isinstance(v, float):
-                return float(text(v))
-            if _is_table(v):
-                return [{key: rounded(x) for key, x in row.items()} for row in v]
-            return v
+    def texts(column) -> list[str]:
+        """The printed text of each value of a column; a scalar is a column of one.
 
-        def dumps(v) -> str:
-            # The text json.dumps(payload) would give, with its default separators.
-            if isinstance(v, (list, tuple)) and not _is_table(v):
-                distinct, index = _distinct(v)
+        Each distinct float is formatted once, told apart by bit pattern so
+        that 0.0 and -0.0 stay apart. Ints, bools and strings go one by one. A
+        float that is not finite, or whose JSON text rounds to infinity,
+        raises NumericalError.
+        """
+        values = np.atleast_1d(column)
+        kind = values.dtype.kind
+        if kind != "f":
+            # An int's JSON text is its str, and json.dumps is ten times slower.
+            plain = kind in "iu" or (fmt == "csv" and kind != "b")
+            return list(map(str if plain else json.dumps, values.tolist()))
+        bits, index = np.unique(values.view(np.int64), return_inverse=True)
+        distinct = bits.view(float).tolist()
+        if fmt == "json":
+            try:
                 # One json.dumps call: one per value costs four times as much.
-                texts = json.dumps(list(map(float, map(text, distinct))), allow_nan=False)
-                texts = texts[1:-1].split(", ")
-                return "[" + ", ".join([texts[i] for i in index]) + "]"
-            return json.dumps(rounded(v), allow_nan=False)
+                out = json.dumps(list(map(float, map(text, distinct))), allow_nan=False)
+            except ValueError:
+                msg = "result is not finite, so it has no JSON form"
+                raise NumericalError(msg) from None
+            out = out[1:-1].split(", ")
+        else:
+            bad = [v for v in distinct if not math.isfinite(v)]
+            if bad:
+                raise NumericalError(f"result {bad[0]} is not finite")
+            out = list(map(text, distinct))
+        return [out[i] for i in index.tolist()]
 
-        try:
-            items = [json.dumps(key) + ": " + dumps(v) for key, v in record.items()]
-        except ValueError:
-            raise NumericalError("result is not finite, so it has no JSON form") from None
-        return "{" + ", ".join(items) + "}\n"
+    if fmt == "json":
+        # The text json.dumps(record) would give, with its default separators,
+        # joined once at the end. A table's rows are built as a list, so its
+        # column texts are freed before the rows are joined.
+        parts = ["{"]
+        for i, (key, v) in enumerate(record.items()):
+            parts += [", " if i else "", json.dumps(key), ": "]
+            if isinstance(v, dict):
+                keys = [json.dumps(k) + ": " for k in v]
+                rows = [
+                    "{" + ", ".join(map(str.__add__, keys, row)) + "}"
+                    for row in zip(*map(texts, v.values()))
+                ]
+                parts += ["[", ", ".join(rows), "]"]
+            elif isinstance(v, (list, tuple)):
+                parts += ["[", ", ".join(texts(v)), "]"]
+            else:
+                parts += texts(v)
+        parts.append("}\n")
+        return "".join(parts)
 
-    def cell(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, float):
-            if not math.isfinite(v):
-                raise NumericalError(f"result {v} is not finite")
-            return text(v)
-        return str(v)
-
-    table = next((v for v in record.values() if _is_table(v)), None)
+    table = next((v for v in record.values() if isinstance(v, dict)), None)
     if table is not None:
-        lines = [",".join(CSV_COLUMN_NAMES.get(key, key) for key in table[0])]
-        lines += [",".join(map(cell, row.values())) for row in table]
+        lines = [",".join(CSV_COLUMN_NAMES.get(key, key) for key in table)]
+        lines += map(",".join, zip(*map(texts, table.values())))
     else:
         lines = ["name,value"]
         for name, v in record.items():
             if isinstance(v, (list, tuple)):
-                distinct, index = _distinct(v)
-                texts = [cell(x) for x in distinct]
-                lines += [f"{name}_{i},{texts[j]}" for i, j in enumerate(index)]
+                lines += [f"{name}_{i},{t}" for i, t in enumerate(texts(v))]
             elif not isinstance(v, str):
-                lines.append(f"{name},{cell(v)}")
-    return "\n".join(lines) + "\n"
+                lines += [f"{name},{t}" for t in texts(v)]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -219,19 +225,9 @@ def cmd_scenario(args) -> str:
     params = model.validate_params(_parse_float_list(args.omega, "--omega"))
     history = _parse_history(args.history)
     table = simulate.scenario_table(params, history, n_max=args.n)
-    scale = _nat_scale(args)
-    rows = [
-        {
-            "n": row.n,
-            "elg_kstar": row.elg_kstar * scale,
-            "elg_kn": row.elg_kn * scale,
-            "elg_kvec": row.elg_kvec * scale,
-            "kstar": row.kstar,
-            "kn": row.kn,
-        }
-        for row in table
-    ]
-    return render({"rows": rows}, args.format, args.precision)
+    for key in ("elg_kstar", "elg_kn", "elg_kvec"):
+        table[key] *= _nat_scale(args)
+    return render({"rows": table}, args.format, args.precision)
 
 
 def cmd_simulate(args) -> str:
@@ -251,20 +247,18 @@ def cmd_simulate(args) -> str:
         seed=_resolve_seed(args.seed),
     )
     result = simulate.monte_carlo_elg(config)
-    scale = _nat_scale(args)
-    rows = [
-        {
-            "name": s.name,
-            "mean_log_growth": s.mean_log_growth * scale,
-            "std_error": s.std_error * scale,
-            "analytic_elg": s.analytic_elg * scale,
-            "q05": s.final_value_quantiles[0],
-            "q50": s.final_value_quantiles[1],
-            "q95": s.final_value_quantiles[2],
-        }
-        for s in result.stats
-    ]
-    record = {"paths": result.paths, "seed": result.seed, "policies": rows}
+    stats, scale = result.stats, _nat_scale(args)
+    q05, q50, q95 = zip(*(s.final_value_quantiles for s in stats))
+    table = {
+        "name": [s.name for s in stats],
+        "mean_log_growth": [s.mean_log_growth * scale for s in stats],
+        "std_error": [s.std_error * scale for s in stats],
+        "analytic_elg": [s.analytic_elg * scale for s in stats],
+        "q05": q05,
+        "q50": q50,
+        "q95": q95,
+    }
+    record = {"paths": result.paths, "seed": result.seed, "policies": table}
     return render(record, args.format, args.precision)
 
 

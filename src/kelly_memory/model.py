@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 import numpy as np
@@ -47,10 +47,18 @@ MAX_TABLE_DEPTH = 20
 MEMORY_BUDGET = 2 * 2**30
 
 # Upper estimate of the bytes a command holds per stage of its horizon, from
-# tracemalloc peaks. The largest is scenario's per-horizon row, its record
-# and its JSON text, about 1.3 kB; kelly holds about 160 B (p_k, kvec and
-# its CSV text).
-STAGE_BYTES = 1536
+# tracemalloc peaks (TestStageBytes). The largest is scenario's JSON, about
+# 610 B: its columns' texts and its row texts; kelly holds up to about 220 B
+# (p_k, kvec and its text) on a game that never repeats.
+STAGE_BYTES = 768
+
+
+def require_integer(value, what: str) -> int:
+    """``value`` as an int, or DomainError if it is not an integer (2.5, NaN, 2.0)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,7 @@ class GameSpec:
             raise DimensionMismatch(
                 f"history length {len(self.history)} != memory depth {self.params.m}"
             )
-        if self.n < 1:
+        if require_integer(self.n, "horizon") < 1:
             raise DimensionMismatch(f"horizon must be >= 1, got {self.n}")
 
     @cached_property
@@ -315,7 +323,7 @@ def state_space(params: MemoryParams, history: History) -> StateSpace:
 
 def all_paths(n: int) -> np.ndarray:
     """All 2^n outcome paths as a (2^n, n) array of +1/-1, one path per row."""
-    if n > MAX_ENUM_HORIZON:
+    if require_integer(n, "horizon") > MAX_ENUM_HORIZON:
         raise HorizonTooLarge(
             f"enumeration capped at n = {MAX_ENUM_HORIZON}, got n = {n}"
         )

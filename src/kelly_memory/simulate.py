@@ -18,7 +18,6 @@ single-kth partition and interpolated as np.quantile does.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,10 +44,7 @@ class SimConfig:
     initial_value: float = 1.0
 
     def __post_init__(self):
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise DomainError(f"seed must be an integer, got {self.seed!r}") from None
+        seed = model.require_integer(self.seed, "seed")
         if not 0 <= seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
         if not 0 < self.initial_value < math.inf:
@@ -83,18 +79,6 @@ class SimResult:
     stats: tuple[PolicyStats, ...]
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
-    """Analytic comparison of the three bettors at one horizon."""
-
-    n: int
-    elg_kstar: float
-    elg_kn: float
-    elg_kvec: float
-    kstar: float
-    kn: float
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on, or all of them where affinity is unknown."""
     try:
@@ -123,10 +107,7 @@ def _workers(n: int, paths: int, held: int) -> int:
     worker per usable CPU, but no more workers than blocks, and no more
     than fit in the budget.
     """
-    try:
-        paths = operator.index(paths)
-    except TypeError:
-        raise DomainError(f"path count must be an integer, got {paths!r}") from None
+    paths = model.require_integer(paths, "path count")
     if paths < 1:
         raise DomainError(f"path count must be >= 1, got {paths}")
     worker = _worker_bytes(min(paths, BLOCK_PATHS), n)
@@ -372,8 +353,11 @@ def standard_policies(
 
 def scenario_table(
     params: model.MemoryParams, history: model.History, n_max: int = 30
-) -> list[ScenarioRow]:
-    """Analytic ELG of the three bettors for every horizon 1..n_max.
+) -> dict[str, np.ndarray]:
+    """Analytic ELG of the three bettors for every horizon 1..n_max, as columns.
+
+    Returns equal-length arrays keyed n, elg_kstar, elg_kn, elg_kvec, kstar
+    and kn, one entry per horizon.
 
     The long-run bettor ignores temporal correlation and always bets
     2 p_inf - 1; the other two use the horizon-optimal constant fraction
@@ -383,7 +367,7 @@ def scenario_table(
     h_n log(1 + K) + (1 - h_n) log(1 - K), and the vector bettor earns
     the running mean of p_k log(2 p_k) + (1 - p_k) log(2 (1 - p_k)).
     """
-    if n_max < 1:
+    if model.require_integer(n_max, "n_max") < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     kstar = policy_mod.kelly_limit(params)
     p = model.prob_sequence(model.GameSpec(params=params, history=history, n=n_max))
@@ -393,14 +377,11 @@ def scenario_table(
     elg_kstar = h * math.log1p(kstar) + (1.0 - h) * math.log1p(-kstar)
     elg_kn = h * np.log1p(kn) + (1.0 - h) * np.log1p(-kn)
     stage_kvec = p * np.log1p(2.0 * p - 1.0) + (1.0 - p) * np.log1p(1.0 - 2.0 * p)
-    elg_kvec = np.cumsum(stage_kvec) / horizons
-    return [
-        ScenarioRow(n=n, elg_kstar=a, elg_kn=b, elg_kvec=c, kstar=kstar, kn=k)
-        for n, a, b, c, k in zip(
-            horizons.tolist(),
-            elg_kstar.tolist(),
-            elg_kn.tolist(),
-            elg_kvec.tolist(),
-            kn.tolist(),
-        )
-    ]
+    return {
+        "n": horizons,
+        "elg_kstar": elg_kstar,
+        "elg_kn": elg_kn,
+        "elg_kvec": np.cumsum(stage_kvec) / horizons,
+        "kstar": np.full(n_max, kstar),
+        "kn": kn,
+    }

@@ -255,11 +255,27 @@ def prob_sequence(spec):
     return np.array(out)
 
 
+def _values(column):
+    """A table column's values as Python objects."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
+
+
 def render(record, fmt, precision):
-    """cli.render formatting every value on its own, JSON through one json.dumps."""
+    """cli.render formatting every value on its own, JSON through one json.dumps.
+
+    A table, a dict of columns, is first turned into a list of row dicts.
+    """
     default = cli.JSON_SIG_DIGITS if fmt == "json" else cli.CSV_SIG_DIGITS
     text = f"{{:.{precision or default}g}}".format
-    is_table = cli._is_table
+    record = {
+        key: [dict(zip(v, row)) for row in zip(*map(_values, v.values()))]
+        if isinstance(v, dict) else v
+        for key, v in record.items()
+    }
+
+    def is_table(v):
+        return isinstance(v, list) and bool(v) and isinstance(v[0], dict)
+
     if fmt == "json":
 
         def rounded(v):

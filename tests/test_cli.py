@@ -6,14 +6,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
-from kelly_memory import cli
+from kelly_memory import cli, model
 from kelly_memory.errors import NumericalError
 from strategies import outcome_files, price_files, valid_games
 
@@ -541,7 +543,8 @@ NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 def records(draw):
     """A record as the commands build them: scalars, float sequences with
     repeated values (both signed zeros among them, now and then a non-finite
-    one), empty sequences, and sometimes a table."""
+    one), empty sequences, and sometimes a table: a dict of equal-length
+    columns, as lists, tuples or numpy arrays."""
     pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
     seq = draw(st.lists(st.sampled_from(pool), max_size=40))
     if seq and draw(st.integers(0, 4)) == 0:
@@ -556,8 +559,14 @@ def records(draw):
         "empty": draw(st.sampled_from(((), []))),
     }
     if draw(st.booleans()):
-        rows = draw(st.integers(1, 4))
-        record["rows"] = [{"n": n, "name": "k", "v": draw(FLOATS)} for n in range(rows)]
+        rows = draw(st.integers(1, 6))
+        column = draw(st.sampled_from((list, tuple, np.array)))
+        record["rows"] = {
+            "n": column(range(rows)),
+            "name": ["k"] * rows,
+            "v": column(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))),
+            "ok": [draw(st.booleans()) for _ in range(rows)],
+        }
     keys = draw(st.permutations(list(record)))
     return {key: record[key] for key in keys}
 
@@ -730,6 +739,45 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "m <= 20" in err
+
+
+GAMES = {
+    "repeats": ("--omega=0.55,0.2", "--history=+1"),
+    "never repeats": ("--omega=0.5,0.4999999", "--history=+1"),
+}
+
+
+def traced_peak(argv) -> int:
+    """tracemalloc's peak over one command, its output text included."""
+    args = cli.build_parser().parse_args(argv)
+    tracemalloc.start()
+    try:
+        args.func(args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageBytes:
+    """model.STAGE_BYTES, the per-stage bytes the memory budget charges, is an
+    upper bound on what each command holds per stage of its horizon."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("game", list(GAMES))
+    @pytest.mark.parametrize(
+        "command",
+        [("kelly",), ("elg", "--k=0.1"), ("scenario",), ("simulate", "--paths=1")],
+        ids=lambda command: command[0],
+    )
+    def test_bytes_per_stage(self, command, game, fmt):
+        # The slope between horizons n and 2n cancels import and constant
+        # costs. On the game that never repeats every bettor wins about
+        # log 2 per bet, so 2n stays below 1024 bets, where a simulated
+        # account value would overflow.
+        argv, n = [*command, *GAMES[game], f"--format={fmt}"], 500
+        traced_peak(argv + ["--n=2"])  # first-call costs: lazy imports, caches
+        slope = (traced_peak(argv + [f"--n={2 * n}"]) - traced_peak(argv + [f"--n={n}"])) / n
+        assert 0 < slope <= model.STAGE_BYTES
 
 
 def _reject_constant(name):

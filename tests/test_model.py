@@ -103,6 +103,12 @@ class TestHistoryAndSpec:
         with pytest.raises(DimensionMismatch):
             model.GameSpec(params=params, history=model.History((1,)), n=0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, math.nan])
+    def test_non_integral_horizon_rejected(self, n):
+        # It used to be accepted, and the first use of probs raised TypeError.
+        with pytest.raises(DomainError, match="horizon"):
+            make_spec([0.55, 0.20], [1], n=n)
+
     def test_probs_is_one_read_only_pass(self):
         spec = make_spec([0.55, 0.20], [1], n=5)
         assert spec.probs is spec.probs
@@ -507,6 +513,12 @@ class TestEnumerationOracle:
         spec = make_spec([0.55, 0.20], [1], n=21)
         with pytest.raises(HorizonTooLarge):
             model.enumerate_expected_heads(spec)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, math.nan])
+    def test_non_integral_path_length_rejected(self, n):
+        # It used to raise TypeError from np.arange.
+        with pytest.raises(DomainError, match="horizon"):
+            model.all_paths(n)
 
     def test_matches_analytic_randomized(self):
         rng = random.Random(53)

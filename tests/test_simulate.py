@@ -489,6 +489,11 @@ class TestMonteCarloElg:
         assert stats.final_value_quantiles[0] >= 100.0 * 0.6**2 - 1e-9
 
 
+def rows(table):
+    """A scenario table's columns as one dict of Python values per horizon."""
+    return [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
+
+
 class TestScenarioTable:
     @settings(deadline=None)
     @given(game=valid_games(), n_max=st.integers(1, 60))
@@ -496,9 +501,10 @@ class TestScenarioTable:
         params, history = game
         kstar = policy.kelly_limit(params)
         table = simulate.scenario_table(params, history, n_max=n_max)
-        assert [row.n for row in table] == list(range(1, n_max + 1))
-        for row in table:
-            spec = model.GameSpec(params=params, history=history, n=row.n)
+        assert {len(column) for column in table.values()} == {n_max}
+        assert table["n"].tolist() == list(range(1, n_max + 1))
+        for row in rows(table):
+            spec = model.GameSpec(params=params, history=history, n=row["n"])
             kn = policy.kelly_horizon(spec)
             expected = (
                 policy.elg_time_invariant(spec, kstar),
@@ -507,42 +513,42 @@ class TestScenarioTable:
                 kstar,
                 kn,
             )
-            got = (row.elg_kstar, row.elg_kn, row.elg_kvec, row.kstar, row.kn)
+            got = tuple(row[key] for key in ("elg_kstar", "elg_kn", "elg_kvec", "kstar", "kn"))
             assert got == pytest.approx(expected, rel=0, abs=1e-12)
-            assert row.elg_kvec >= row.elg_kn - 1e-12
-            assert row.elg_kn >= row.elg_kstar - 1e-12
+            assert row["elg_kvec"] >= row["elg_kn"] - 1e-12
+            assert row["elg_kn"] >= row["elg_kstar"] - 1e-12
 
     def test_scenario_a_n2_row(self):
         table = simulate.scenario_table(
             model.validate_params([0.55, 0.20]), model.History((1,)), n_max=2
         )
-        row = table[1]
-        assert row.n == 2
-        assert row.elg_kstar == pytest.approx(0.053, abs=5e-4)
-        assert row.elg_kn == pytest.approx(0.082, abs=5e-4)
-        assert row.elg_kvec == pytest.approx(0.088, abs=5e-4)
-        assert row.kstar == pytest.approx(0.16667, abs=1e-5)
-        assert row.kn == pytest.approx(0.4, abs=1e-9)
+        row = rows(table)[1]
+        assert row["n"] == 2
+        assert row["elg_kstar"] == pytest.approx(0.053, abs=5e-4)
+        assert row["elg_kn"] == pytest.approx(0.082, abs=5e-4)
+        assert row["elg_kvec"] == pytest.approx(0.088, abs=5e-4)
+        assert row["kstar"] == pytest.approx(0.16667, abs=1e-5)
+        assert row["kn"] == pytest.approx(0.4, abs=1e-9)
 
     def test_scenario_b_n2_row(self):
         table = simulate.scenario_table(
             model.validate_params([0.55, -0.20]), model.History((1,)), n_max=2
         )
-        row = table[1]
-        assert row.kstar == pytest.approx(0.071, abs=5e-4)
-        assert row.kn == pytest.approx(-0.04, abs=1e-9)
+        row = rows(table)[1]
+        assert row["kstar"] == pytest.approx(0.071, abs=5e-4)
+        assert row["kn"] == pytest.approx(-0.04, abs=1e-9)
 
     def test_scenario_c_sign_change(self):
         table = simulate.scenario_table(
             model.validate_params([0.35, 0.33]), model.History((1,)), n_max=30
         )
-        for row in table:
-            if row.n <= 10:
-                assert row.elg_kstar < 0
+        for row in rows(table):
+            if row["n"] <= 10:
+                assert row["elg_kstar"] < 0
             else:
-                assert row.elg_kstar > 0
-            assert row.elg_kn >= 0
-            assert row.elg_kvec > 0
+                assert row["elg_kstar"] > 0
+            assert row["elg_kn"] >= 0
+            assert row["elg_kvec"] > 0
 
     def test_dominance_every_row(self):
         rng = random.Random(29)
@@ -552,12 +558,20 @@ class TestScenarioTable:
             table = simulate.scenario_table(
                 model.validate_params(omega), model.History((1,)), n_max=15
             )
-            for row in table:
-                assert row.elg_kstar <= row.elg_kn + 1e-12
-                assert row.elg_kn <= row.elg_kvec + 1e-12
+            for row in rows(table):
+                assert row["elg_kstar"] <= row["elg_kn"] + 1e-12
+                assert row["elg_kn"] <= row["elg_kvec"] + 1e-12
 
     def test_bad_n_max(self):
         with pytest.raises(DomainError):
             simulate.scenario_table(
                 model.validate_params([0.55, 0.20]), model.History((1,)), n_max=0
+            )
+
+    @pytest.mark.parametrize("n_max", [2.5, 2.0, math.nan])
+    def test_non_integral_n_max_rejected(self, n_max):
+        # It used to raise TypeError from np.arange.
+        with pytest.raises(DomainError, match="n_max"):
+            simulate.scenario_table(
+                model.validate_params([0.55, 0.20]), model.History((1,)), n_max=n_max
             )
