@@ -34,7 +34,6 @@ from .policy import (
     BettorPolicy,
     MultiOutcomeOptimum,
     PayoffModel,
-    PolicyKind,
     elg_multioutcome,
     elg_time_invariant,
     elg_time_varying,
@@ -57,7 +56,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     monte_carlo_elg,
-    run_bettor,
     sample_path,
     sample_paths,
     scenario_table,

@@ -138,7 +138,7 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
                     for row in zip(*map(texts, v.values()))
                 ]
                 parts += ["[", ", ".join(rows), "]"]
-            elif isinstance(v, (list, tuple)):
+            elif isinstance(v, (list, tuple, np.ndarray)):
                 parts += ["[", ", ".join(texts(v)), "]"]
             else:
                 parts += texts(v)
@@ -152,7 +152,7 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
     else:
         lines = ["name,value"]
         for name, v in record.items():
-            if isinstance(v, (list, tuple)):
+            if isinstance(v, (list, tuple, np.ndarray)):
                 lines += [f"{name}_{i},{t}" for i, t in enumerate(texts(v))]
             elif not isinstance(v, str):
                 lines += [f"{name},{t}" for t in texts(v)]
@@ -209,13 +209,9 @@ def cmd_elg(args) -> str:
     spec = _game_spec(args)
     ks = _parse_float_list(args.k, "--k")
     pol = _policy_from_fractions(ks, spec.n)
-    if pol.kind is policy.PolicyKind.TIME_INVARIANT:
-        value = policy.elg_time_invariant(spec, pol.fractions[0])
-    else:
-        value = policy.elg_time_varying(spec, pol)
     record = {
-        "k": pol.fractions,
-        "elg": value * _nat_scale(args),
+        "k": ks,
+        "elg": policy.elg(spec, pol) * _nat_scale(args),
         "unit": "bits" if args.bits else "nats",
     }
     return render(record, args.format, args.precision)

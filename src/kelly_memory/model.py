@@ -323,7 +323,10 @@ def state_space(params: MemoryParams, history: History) -> StateSpace:
 
 def all_paths(n: int) -> np.ndarray:
     """All 2^n outcome paths as a (2^n, n) array of +1/-1, one path per row."""
-    if require_integer(n, "horizon") > MAX_ENUM_HORIZON:
+    n = require_integer(n, "horizon")
+    if n < 0:
+        raise DomainError(f"horizon must be >= 0, got {n}")
+    if n > MAX_ENUM_HORIZON:
         raise HorizonTooLarge(
             f"enumeration capped at n = {MAX_ENUM_HORIZON}, got n = {n}"
         )

@@ -8,14 +8,16 @@ of a constant fraction K is
 
 maximized at K_n = 2h - 1. A pre-committed time-varying fraction vector is
 scored stage by stage against the unconditional head probabilities p_k and
-is maximized at 2 p_k - 1. The multi-outcome variant weights log(1 + K x_i)
-by expected outcome frequencies and is maximized numerically.
+is maximized at 2 p_k - 1. A BettorPolicy holds either kind as one array,
+shape () for a constant and (n,) for a vector, and elg scores it by that
+shape. The multi-outcome variant weights log(1 + K x_i) by expected
+outcome frequencies and is maximized numerically.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,42 +38,50 @@ _SEARCH_TOL = 1e-10
 _MAX_SEARCH_ITER = 200
 
 
-class PolicyKind(enum.Enum):
-    TIME_INVARIANT = "time_invariant"
-    TIME_VARYING = "time_varying"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BettorPolicy:
-    """A constant fraction or a pre-committed vector of per-stage fractions."""
+    """Betting fractions in one read-only float64 array, whose shape is the kind.
 
-    kind: PolicyKind
-    fractions: tuple[float, ...]
+    Shape () is a constant fraction, bet at every stage; shape (n,) is a
+    pre-committed vector of per-stage fractions. Policies compare by
+    identity: nothing compares them by value.
+    """
+
+    fractions: np.ndarray
 
     def __post_init__(self):
-        if self.kind is PolicyKind.TIME_INVARIANT and len(self.fractions) != 1:
-            raise DimensionMismatch("time-invariant policy holds exactly one fraction")
-        if not self.fractions:
+        try:
+            ks = np.array(self.fractions)
+        except ValueError:  # a ragged nest of sequences
+            ks = np.array(None)  # object dtype, so rejected below
+        if ks.dtype.kind not in "biuf":
+            msg = f"betting fractions must be real numbers, got {reprlib.repr(self.fractions)}"
+            raise DomainError(msg)
+        if ks.ndim > 1:
+            raise DimensionMismatch(f"policy holds one fraction or a vector, got shape {ks.shape}")
+        if ks.size == 0:
             raise DimensionMismatch("policy needs at least one fraction")
+        ks = ks.astype(float, copy=False)
         # NaN fails the comparison, so it is outside too.
-        ks = np.asarray(self.fractions, dtype=float)
         outside = np.flatnonzero(~(np.abs(ks) < 1.0))
         if outside.size:
-            k = self.fractions[outside[0]]
-            raise DomainError(f"betting fraction {k} outside (-1, 1)")
+            raise DomainError(f"betting fraction {float(ks.flat[outside[0]])} outside (-1, 1)")
+        ks.flags.writeable = False
+        object.__setattr__(self, "fractions", ks)
 
     @classmethod
     def constant(cls, k: float) -> "BettorPolicy":
-        return cls(PolicyKind.TIME_INVARIANT, (float(k),))
+        pol = cls(k)
+        if pol.fractions.ndim != 0:
+            raise DimensionMismatch("a constant policy holds exactly one fraction")
+        return pol
 
     @classmethod
     def varying(cls, ks: Sequence[float]) -> "BettorPolicy":
-        return cls(PolicyKind.TIME_VARYING, tuple(np.asarray(ks, dtype=float).tolist()))
-
-    def fraction_at(self, k: int) -> float:
-        if self.kind is PolicyKind.TIME_INVARIANT:
-            return self.fractions[0]
-        return self.fractions[k]
+        pol = cls(ks)
+        if pol.fractions.ndim != 1:
+            raise DimensionMismatch("a time-varying policy holds a vector of fractions")
+        return pol
 
 
 @dataclass(frozen=True)
@@ -143,20 +153,26 @@ def elg_time_varying(spec: model.GameSpec, policy: BettorPolicy) -> float:
     """Analytic ELG of a pre-committed fraction vector, in one O(n) pass.
 
     The mean over stages of p_k log(1 + K_k) + (1 - p_k) log(1 - K_k),
-    evaluated on whole arrays over the game's one p_k sequence. A
-    time-invariant policy is scored as the equivalent constant vector, so
-    this agrees with elg_time_invariant in that case.
+    evaluated on whole arrays over the game's one p_k sequence. A constant
+    policy broadcasts over the stages, so this agrees with
+    elg_time_invariant in that case, up to rounding.
     """
-    if policy.kind is PolicyKind.TIME_VARYING:
-        if len(policy.fractions) != spec.n:
-            raise DimensionMismatch(
-                f"policy length {len(policy.fractions)} != horizon {spec.n}"
-            )
-        ks = np.asarray(policy.fractions)
-    else:
-        ks = policy.fractions[0]
+    ks = policy.fractions
+    if ks.ndim and ks.size != spec.n:
+        raise DimensionMismatch(f"policy length {ks.size} != horizon {spec.n}")
     probs = spec.probs
     return float(np.sum(probs * np.log1p(ks) + (1.0 - probs) * np.log1p(-ks))) / spec.n
+
+
+def elg(spec: model.GameSpec, policy: BettorPolicy) -> float:
+    """Analytic ELG of any policy, chosen by the shape of its fractions.
+
+    A constant goes through elg_time_invariant's h log(1 + K) arithmetic,
+    which rounds differently from summing it stage by stage.
+    """
+    if policy.fractions.ndim:
+        return elg_time_varying(spec, policy)
+    return elg_time_invariant(spec, float(policy.fractions))
 
 
 def elg_multioutcome(payoff: PayoffModel, k: float) -> float:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -51,13 +50,10 @@ class SimConfig:
             raise DomainError("initial account value must be positive and finite")
         check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
-            if (
-                pol.kind is policy_mod.PolicyKind.TIME_VARYING
-                and len(pol.fractions) != self.spec.n
-            ):
+            ks = pol.fractions
+            if ks.ndim and ks.size != self.spec.n:
                 raise DimensionMismatch(
-                    f"policy {name!r} has length {len(pol.fractions)}, "
-                    f"horizon is {self.spec.n}"
+                    f"policy {name!r} has length {ks.size}, horizon is {self.spec.n}"
                 )
 
 
@@ -216,28 +212,6 @@ def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     return x
 
 
-def run_bettor(
-    path: Sequence[int], policy: policy_mod.BettorPolicy, initial_value: float = 1.0
-) -> np.ndarray:
-    """Account trajectory [V_1, ..., V_n] under V_{k+1} = (1 + K_k X_k) V_k."""
-    x = np.asarray(path)
-    if policy.kind is policy_mod.PolicyKind.TIME_VARYING:
-        if len(policy.fractions) != x.size:
-            raise DimensionMismatch(
-                f"policy length {len(policy.fractions)} != path length {x.size}"
-            )
-        ks = np.asarray(policy.fractions)
-    else:
-        ks = np.full(x.size, policy.fractions[0])
-    return initial_value * np.cumprod(1.0 + ks * x)
-
-
-def _analytic_elg(spec: model.GameSpec, pol: policy_mod.BettorPolicy) -> float:
-    if pol.kind is policy_mod.PolicyKind.TIME_INVARIANT:
-        return policy_mod.elg_time_invariant(spec, pol.fractions[0])
-    return policy_mod.elg_time_varying(spec, pol)
-
-
 def _quantiles(x: np.ndarray) -> tuple[float, ...]:
     """np.quantile(x, _QUANTILES) by one single-kth partition per quantile.
 
@@ -282,13 +256,14 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     growth = {name: np.empty(m_paths) for name, _ in config.policies}
     constant, vector = [], []
     for name, pol in config.policies:
-        if pol.kind is policy_mod.PolicyKind.TIME_INVARIANT:
-            k = pol.fractions[0]
-            constant.append((growth[name], math.log1p(k), math.log1p(-k)))
-        else:
+        ks = pol.fractions
+        if ks.ndim:
             # Per stage, the log growth after a tail and after a head.
-            logs = [np.array([math.log1p(-k), math.log1p(k)]) for k in pol.fractions]
+            logs = [np.array([math.log1p(-k), math.log1p(k)]) for k in ks.tolist()]
             vector.append((growth[name], logs))
+        else:
+            k = float(ks)
+            constant.append((growth[name], math.log1p(k), math.log1p(-k)))
 
     def log_growth(blocks):
         # log(V_n / V_0) of each path: a constant bettor's from its head
@@ -333,7 +308,7 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
                 name=name,
                 mean_log_growth=mean,
                 std_error=std_error,
-                analytic_elg=_analytic_elg(spec, pol),
+                analytic_elg=policy_mod.elg(spec, pol),
                 final_value_quantiles=_quantiles(finals),
             )
         )

@@ -195,14 +195,14 @@ def sample_paths(spec, paths, seed):
 
 def log_growth(x, pol):
     """Per-path log(V_n / V_0) for a block of outcome paths."""
-    n = x.shape[1]
-    if pol.kind is policy.PolicyKind.TIME_INVARIANT:
-        k = pol.fractions[0]
+    n, ks = x.shape[1], pol.fractions
+    if ks.ndim == 0:
+        k = float(ks)
         heads = (x == 1).sum(axis=1)
         return heads * math.log1p(k) + (n - heads) * math.log1p(-k)
     total = np.zeros(x.shape[0])
     for j in range(n):
-        k = pol.fractions[j]
+        k = float(ks[j])
         total = total + np.where(x[:, j] == 1, math.log1p(k), math.log1p(-k))
     return total
 
@@ -226,16 +226,12 @@ def monte_carlo_elg(config):
         if finals.max() == math.inf:
             raise NumericalError(f"final account value of policy {name!r} overflows")
         q = np.quantile(finals, (0.05, 0.5, 0.95))
-        if pol.kind is policy.PolicyKind.TIME_INVARIANT:
-            analytic = policy.elg_time_invariant(spec, pol.fractions[0])
-        else:
-            analytic = policy.elg_time_varying(spec, pol)
         stats.append(
             simulate.PolicyStats(
                 name=name,
                 mean_log_growth=float(np.mean(g)),
                 std_error=std_error,
-                analytic_elg=analytic,
+                analytic_elg=policy.elg(spec, pol),
                 final_value_quantiles=(float(q[0]), float(q[1]), float(q[2])),
             )
         )
@@ -269,7 +265,7 @@ def render(record, fmt, precision):
     text = f"{{:.{precision or default}g}}".format
     record = {
         key: [dict(zip(v, row)) for row in zip(*map(_values, v.values()))]
-        if isinstance(v, dict) else v
+        if isinstance(v, dict) else _values(v) if isinstance(v, np.ndarray) else v
         for key, v in record.items()
     }
 

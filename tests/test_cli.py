@@ -539,12 +539,19 @@ FLOATS = st.one_of(
 NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
 
 
+def read_only_array(values):
+    """A float64 array that cannot be written, as a policy's fractions are."""
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
+
+
 @st.composite
 def records(draw):
-    """A record as the commands build them: scalars, float sequences with
-    repeated values (both signed zeros among them, now and then a non-finite
-    one), empty sequences, and sometimes a table: a dict of equal-length
-    columns, as lists, tuples or numpy arrays."""
+    """A record as the commands build them: scalars, float sequences (lists,
+    tuples or read-only arrays) with repeated values (both signed zeros among
+    them, now and then a non-finite one), empty sequences, and sometimes a
+    table: a dict of equal-length columns, as lists, tuples or numpy arrays."""
     pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
     seq = draw(st.lists(st.sampled_from(pool), max_size=40))
     if seq and draw(st.integers(0, 4)) == 0:
@@ -553,10 +560,10 @@ def records(draw):
     record = {
         "x": draw(FLOATS),
         "count": draw(st.integers(-(2**63), 2**63)),
-        "seq": draw(st.sampled_from((tuple, list)))(seq),
+        "seq": draw(st.sampled_from((tuple, list, read_only_array)))(seq),
         "ok": draw(st.booleans()),
         "unit": "nats",
-        "empty": draw(st.sampled_from(((), []))),
+        "empty": draw(st.sampled_from(((), [], read_only_array([])))),
     }
     if draw(st.booleans()):
         rows = draw(st.integers(1, 6))

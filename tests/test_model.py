@@ -520,6 +520,12 @@ class TestEnumerationOracle:
         with pytest.raises(DomainError, match="horizon"):
             model.all_paths(n)
 
+    def test_negative_path_length_rejected(self):
+        # all_paths(-1) used to return one empty path, as all_paths(0) does.
+        with pytest.raises(DomainError, match="horizon must be >= 0, got -1"):
+            model.all_paths(-1)
+        assert model.all_paths(0).shape == (1, 0)
+
     def test_matches_analytic_randomized(self):
         rng = random.Random(53)
         for _ in range(500):

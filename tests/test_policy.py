@@ -30,6 +30,36 @@ def random_spec(rng, m, n):
     )
 
 
+FRACTION_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from((-0.0, 0.999999, -1.0, 1.0, 2**70)),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.builds(np.float32, st.floats(-2.0, 2.0, width=32)),
+    st.builds(np.int64, st.integers(-2, 2)),
+)
+POLICY_INPUTS = st.recursive(
+    st.one_of(
+        FRACTION_VALUES,
+        st.none(),
+        st.text(max_size=4),
+        st.sampled_from(("0.3", "nan", b"0.3", 0.3j)),
+        st.builds(np.array, FRACTION_VALUES),
+        st.builds(np.empty, st.sampled_from((0, (0, 2), (2, 0)))),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.builds(np.array, st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3)),
+        st.builds(
+            lambda v: np.array(v).reshape(1, -1),
+            st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=3),
+        ),
+    ),
+    max_leaves=8,
+)
+
+
 class TestBettorPolicy:
     def test_fraction_bounds(self):
         with pytest.raises(DomainError):
@@ -49,19 +79,60 @@ class TestBettorPolicy:
         with pytest.raises(DomainError, match=rf"^betting fraction {bad} outside"):
             policy.BettorPolicy.varying(ks)
 
-    def test_varying_over_an_array_holds_python_floats(self):
+    def test_varying_over_an_array_holds_a_read_only_copy(self):
         ks = np.linspace(-0.9, 0.9, 7)
         pol = policy.BettorPolicy.varying(ks)
-        assert pol.fractions == tuple(ks.tolist())
-        assert all(type(k) is float for k in pol.fractions)
+        np.testing.assert_array_equal(pol.fractions, ks)
+        assert pol.fractions.dtype == np.float64
+        assert not pol.fractions.flags.writeable
+        ks[0] = 0.5
+        assert pol.fractions[0] == -0.9
 
-    def test_constant_lookup(self):
-        pol = policy.BettorPolicy.constant(0.3)
-        assert pol.fraction_at(0) == pol.fraction_at(7) == 0.3
+    def test_shape_is_the_kind(self):
+        assert policy.BettorPolicy.constant(0.3).fractions.shape == ()
+        assert policy.BettorPolicy.varying([0.3]).fractions.shape == (1,)
+        assert policy.BettorPolicy(np.array([0.5, 0.3])).fractions.shape == (2,)
 
-    def test_varying_lookup(self):
-        pol = policy.BettorPolicy.varying([0.5, 0.3])
-        assert pol.fraction_at(1) == 0.3
+    @pytest.mark.parametrize(
+        "make,arg",
+        [
+            (policy.BettorPolicy.varying, [[0.1, 0.2]]),
+            (policy.BettorPolicy.varying, 0.3),
+            (policy.BettorPolicy.varying, []),
+            (policy.BettorPolicy.constant, [0.3]),
+            (policy.BettorPolicy.constant, "x"),
+            (policy.BettorPolicy.constant, "0.3"),
+            (policy.BettorPolicy.constant, None),
+            (policy.BettorPolicy, [[0.1], [0.1, 0.2]]),
+        ],
+    )
+    def test_wrong_shape_or_type_rejected(self, make, arg):
+        # A 2-D vector used to be accepted, and the others raised
+        # TypeError or ValueError.
+        with pytest.raises(KellyMemoryError):
+            make(arg)
+
+    @settings(max_examples=300)
+    @given(
+        make=st.sampled_from(
+            (policy.BettorPolicy, policy.BettorPolicy.constant, policy.BettorPolicy.varying)
+        ),
+        arg=POLICY_INPUTS,
+    )
+    def test_any_input_gives_a_valid_policy_or_a_package_error(self, make, arg):
+        try:
+            pol = make(arg)
+        except KellyMemoryError:
+            return
+        ks = pol.fractions
+        assert isinstance(ks, np.ndarray) and ks.dtype == np.float64
+        assert not ks.flags.writeable
+        assert ks.ndim <= 1 and ks.size >= 1
+        assert np.all(np.abs(ks) < 1.0)
+        if make is policy.BettorPolicy.constant:
+            assert ks.ndim == 0
+        if make is policy.BettorPolicy.varying:
+            assert ks.ndim == 1
 
 
 class TestKellyClassical:
@@ -115,7 +186,7 @@ class TestKellyLimit:
 class TestKellyTimeVarying:
     def test_scenario_a(self):
         pol = policy.kelly_timevarying(SPEC_A2)
-        assert pol.kind is policy.PolicyKind.TIME_VARYING
+        assert pol.fractions.shape == (2,)
         assert pol.fractions == pytest.approx((0.5, 0.3), abs=1e-9)
 
     def test_scenario_b(self):
@@ -222,6 +293,28 @@ class TestElgTimeVarying:
             assert policy.elg_time_varying(spec, pol) == pytest.approx(
                 bruteforce.elg_vector(omega, history, n, ks), abs=1e-12
             )
+
+
+class TestElg:
+    def test_constant_is_elg_time_invariant(self):
+        rng = random.Random(109)
+        for _ in range(50):
+            spec = random_spec(rng, rng.randint(1, 3), rng.randint(1, 40))
+            k = rng.uniform(-0.9, 0.9)
+            assert policy.elg(spec, policy.BettorPolicy.constant(k)) == (
+                policy.elg_time_invariant(spec, k)
+            )
+
+    def test_vector_is_elg_time_varying(self):
+        rng = random.Random(113)
+        for _ in range(50):
+            spec = random_spec(rng, rng.randint(1, 3), rng.randint(1, 40))
+            pol = policy.BettorPolicy.varying([rng.uniform(-0.9, 0.9) for _ in range(spec.n)])
+            assert policy.elg(spec, pol) == policy.elg_time_varying(spec, pol)
+
+    def test_vector_length_checked(self):
+        with pytest.raises(DimensionMismatch):
+            policy.elg(SPEC_A2, policy.BettorPolicy.varying([0.1, 0.1, 0.1]))
 
 
 class TestOptimality:

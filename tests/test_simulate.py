@@ -131,39 +131,6 @@ class TestPinnedStreams:
         assert h.hexdigest() == digest
 
 
-class TestRunBettor:
-    def test_two_wins(self):
-        traj = simulate.run_bettor([1, 1], policy.BettorPolicy.constant(0.4))
-        np.testing.assert_allclose(traj, [1.4, 1.96], atol=1e-15)
-
-    def test_win_then_loss(self):
-        traj = simulate.run_bettor([1, -1], policy.BettorPolicy.constant(0.4))
-        np.testing.assert_allclose(traj, [1.4, 0.84], atol=1e-15)
-
-    def test_no_bet_flat(self):
-        traj = simulate.run_bettor([1, -1, -1], policy.BettorPolicy.constant(0.0), 5.0)
-        np.testing.assert_allclose(traj, [5.0, 5.0, 5.0], atol=0)
-
-    def test_time_varying_stages(self):
-        pol = policy.BettorPolicy.varying([0.5, 0.3])
-        traj = simulate.run_bettor([1, -1], pol)
-        np.testing.assert_allclose(traj, [1.5, 1.5 * 0.7], atol=1e-15)
-
-    def test_length_mismatch(self):
-        pol = policy.BettorPolicy.varying([0.5, 0.3])
-        with pytest.raises(DimensionMismatch):
-            simulate.run_bettor([1, -1, 1], pol)
-
-    def test_value_stays_positive(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            n = rng.randint(1, 40)
-            path = [rng.choice((-1, 1)) for _ in range(n)]
-            k = rng.uniform(-0.99, 0.99)
-            traj = simulate.run_bettor(path, policy.BettorPolicy.constant(k))
-            assert np.all(traj > 0)
-
-
 class TestSimConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
