@@ -21,7 +21,6 @@ from .model import (
     MemoryParams,
     StateSpace,
     closed_form_p_k,
-    cond_prob,
     enumerate_expected_heads,
     expected_heads,
     lambda_n,

@@ -218,9 +218,7 @@ def cmd_elg(args) -> str:
 
 
 def cmd_scenario(args) -> str:
-    params = model.validate_params(_parse_float_list(args.omega, "--omega"))
-    history = _parse_history(args.history)
-    table = simulate.scenario_table(params, history, n_max=args.n)
+    table = simulate.scenario_table(_game_spec(args))
     for key in ("elg_kstar", "elg_kn", "elg_kvec"):
         table[key] *= _nat_scale(args)
     return render({"rows": table}, args.format, args.precision)
@@ -254,7 +252,7 @@ def cmd_simulate(args) -> str:
         "q50": q50,
         "q95": q95,
     }
-    record = {"paths": result.paths, "seed": result.seed, "policies": table}
+    record = {"paths": config.paths, "seed": config.seed, "policies": table}
     return render(record, args.format, args.precision)
 
 

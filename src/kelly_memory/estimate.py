@@ -36,7 +36,7 @@ from .errors import (
     NonConvergence,
     SingularDesign,
 )
-from .model import EPS_MARGIN
+from .model import EPS_MARGIN, require_integer
 
 DIAMOND_RADIUS = 0.5 - EPS_MARGIN
 
@@ -62,7 +62,7 @@ class ObservationSet:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if require_integer(self.m, "model depth") < 1:
             raise DimensionMismatch(f"model depth must be >= 1, got {self.m}")
         data = np.array(self.data)
         if data.ndim != 1 or not np.all((data == 1) | (data == -1)):

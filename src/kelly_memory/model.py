@@ -7,7 +7,8 @@ previous m outcomes:
 
 with outcomes coded +1 (head) and -1 (tail). Validity of the coefficient
 vector requires |w0 - 1/2| + sum_i |wi| < 1/2 (the "hyperdiamond"), which
-keeps every conditional probability inside (0, 1). The kernel is
+keeps every conditional probability inside (0, 1). MemoryParams holds
+(w0, ..., wm) and reads m from its length. The kernel is
 ``transition_table``, the head probability after each of the 2^m windows.
 The module also gives the unconditional p_k, their steady state, expected
 head counts, a companion-form realization and a path-enumeration oracle.
@@ -63,24 +64,24 @@ def require_integer(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class MemoryParams:
-    """Coefficients (w0, ..., wm) of the conditional head probability."""
+    """Coefficients (w0, ..., wm) of the conditional head probability; m = len(omega) - 1."""
 
-    m: int
     omega: tuple[float, ...]
 
     def __post_init__(self):
         if self.m < 1:
             raise DimensionMismatch(f"memory depth must be >= 1, got {self.m}")
-        if len(self.omega) != self.m + 1:
-            raise DimensionMismatch(
-                f"omega has length {len(self.omega)}, expected m+1 = {self.m + 1}"
-            )
         # NaN fails every comparison, so it would slip past the excess test.
         if not all(math.isfinite(w) for w in self.omega):
             raise DomainError(f"omega coefficients must be finite, got {self.omega}")
         excess = self.l1_distance - (0.5 - EPS_MARGIN)
         if excess > 0:
             raise HyperdiamondViolation(excess)
+
+    @property
+    def m(self) -> int:
+        """Memory depth: the number of lagged outcomes."""
+        return len(self.omega) - 1
 
     @property
     def l1_distance(self) -> float:
@@ -181,16 +182,13 @@ class StateSpace:
         return float(self.c @ np.linalg.solve(np.eye(m) - self.A, self.b))
 
 
-def validate_params(omega: Sequence[float], m: int | None = None) -> MemoryParams:
+def validate_params(omega: Sequence[float]) -> MemoryParams:
     """Validate a coefficient vector against the hyperdiamond constraint.
 
-    ``m`` defaults to len(omega) - 1. Raises HyperdiamondViolation (carrying
-    the excess) or DimensionMismatch.
+    Raises HyperdiamondViolation (carrying the excess), DomainError or
+    DimensionMismatch.
     """
-    omega = tuple(float(w) for w in omega)
-    if m is None:
-        m = len(omega) - 1
-    return MemoryParams(m=m, omega=omega)
+    return MemoryParams(omega=tuple(float(w) for w in omega))
 
 
 def transition_table(params: MemoryParams) -> np.ndarray:
@@ -205,15 +203,6 @@ def transition_table(params: MemoryParams) -> np.ndarray:
     for w in params.omega[1:]:  # each lag doubles the table and takes the new top bit
         table = np.concatenate([table - w, table + w])
     return table
-
-
-def cond_prob(params: MemoryParams, window: Sequence[int]) -> float:
-    """Conditional head probability given the last m outcomes, most recent first."""
-    if len(window) != params.m:
-        raise DimensionMismatch(
-            f"window length {len(window)} != memory depth {params.m}"
-        )
-    return float(transition_table(params)[History(tuple(window)).state])
 
 
 def prob_sequence(spec: GameSpec) -> np.ndarray:
@@ -267,8 +256,19 @@ def closed_form_p_k(params: MemoryParams, p0: float, k: int) -> float:
     """Depth-1 closed form p_k = (2 w1)^k p_0 + [1 - (2 w1)^k] p_inf."""
     if params.m != 1:
         raise UnsupportedDepth(f"closed form requires m = 1, got m = {params.m}")
-    decay = (2.0 * params.omega[1]) ** k
+    k = require_integer(k, "k")
+    if k < 0 or not 0.0 <= p0 <= 1.0:
+        raise DomainError(f"closed form needs k >= 0 and p0 in [0, 1], got k = {k}, p0 = {p0}")
+    decay = _power(2.0 * params.omega[1], k, "k")
     return decay * p0 + (1.0 - decay) * steady_state(params)
+
+
+def _power(r: float, k: int, what: str) -> float:
+    """r**k, or DomainError for a count ``k`` too large to convert to a float."""
+    try:
+        return r**k
+    except OverflowError:
+        raise DomainError(f"{what} is too large for a float: {k.bit_length()} bits") from None
 
 
 def steady_state(params: MemoryParams) -> float:
@@ -285,10 +285,11 @@ def lambda_n(params: MemoryParams, n: int) -> float:
     """
     if params.m != 1:
         raise UnsupportedDepth(f"lambda_n requires m = 1, got m = {params.m}")
+    n = require_integer(n, "n")
     if n < 1:
         raise DimensionMismatch(f"n must be >= 1, got {n}")
     r = 2.0 * params.omega[1]
-    return (1.0 - r**n) / (1.0 - r) / n
+    return (1.0 - _power(r, n, "n")) / (1.0 - r) / n
 
 
 def expected_heads(spec: GameSpec) -> float:

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo simulation of correlated-coin betting.
+"""Seeded Monte Carlo simulation of correlated-coin betting, and the scenario table.
 
 Outcome paths are sampled with the Philox counter-based generator, one
 model.transition_table lookup per step. Paths are processed in fixed
@@ -34,22 +34,21 @@ _QUANTILES = (0.05, 0.5, 0.95)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A simulation run: game, named policies, path count, seed, start value."""
+    """A simulation run: game, named policies (a name is only a label), path count, seed."""
 
     spec: model.GameSpec
     policies: tuple[tuple[str, policy_mod.BettorPolicy], ...]
     paths: int = 100_000
     seed: int = 0
-    initial_value: float = 1.0
 
     def __post_init__(self):
         seed = model.require_integer(self.seed, "seed")
         if not 0 <= seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        if not 0 < self.initial_value < math.inf:
-            raise DomainError("initial account value must be positive and finite")
         check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
+            if not isinstance(pol, policy_mod.BettorPolicy):
+                raise DomainError(f"policy {name!r} is not a BettorPolicy, got {pol!r}")
             ks = pol.fractions
             if ks.ndim and ks.size != self.spec.n:
                 raise DimensionMismatch(
@@ -70,8 +69,7 @@ class PolicyStats:
 
 @dataclass(frozen=True)
 class SimResult:
-    paths: int
-    seed: int
+    """One PolicyStats per configured policy, in the config's order."""
     stats: tuple[PolicyStats, ...]
 
 
@@ -253,17 +251,17 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     spec, m_paths, n = config.spec, config.paths, config.spec.n
     workers = check_budget(n, m_paths, len(config.policies))
     rows = min(m_paths, BLOCK_PATHS)
-    growth = {name: np.empty(m_paths) for name, _ in config.policies}
+    growth = [np.empty(m_paths) for _ in config.policies]
     constant, vector = [], []
-    for name, pol in config.policies:
+    for log_vn, (_, pol) in zip(growth, config.policies):
         ks = pol.fractions
         if ks.ndim:
             # Per stage, the log growth after a tail and after a head.
             logs = [np.array([math.log1p(-k), math.log1p(k)]) for k in ks.tolist()]
-            vector.append((growth[name], logs))
+            vector.append((log_vn, logs))
         else:
             k = float(ks)
-            constant.append((growth[name], math.log1p(k), math.log1p(-k)))
+            constant.append((log_vn, math.log1p(k), math.log1p(-k)))
 
     def log_growth(blocks):
         # log(V_n / V_0) of each path: a constant bettor's from its head
@@ -288,8 +286,7 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     # the statistics allocate nothing path-sized beyond np.std's temporary.
     scratch = np.empty(m_paths)
     stats = []
-    for name, pol in config.policies:
-        log_vn = growth[name]
+    for log_vn, (name, pol) in zip(growth, config.policies):
         g = np.divide(log_vn, n, out=scratch)
         mean = float(np.mean(g))
         if m_paths > 1:
@@ -298,7 +295,6 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
             std_error = 0.0
         with np.errstate(over="ignore"):
             finals = np.exp(log_vn, out=scratch)
-            finals *= config.initial_value
         if finals.max() == math.inf:
             raise NumericalError(
                 f"final account value of policy {name!r} overflows, so it is not finite"
@@ -312,7 +308,7 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
                 final_value_quantiles=_quantiles(finals),
             )
         )
-    return SimResult(paths=m_paths, seed=config.seed, stats=tuple(stats))
+    return SimResult(stats=tuple(stats))
 
 
 def standard_policies(
@@ -326,10 +322,8 @@ def standard_policies(
     )
 
 
-def scenario_table(
-    params: model.MemoryParams, history: model.History, n_max: int = 30
-) -> dict[str, np.ndarray]:
-    """Analytic ELG of the three bettors for every horizon 1..n_max, as columns.
+def scenario_table(spec: model.GameSpec) -> dict[str, np.ndarray]:
+    """Analytic ELG of the three bettors for every horizon 1..spec.n, as columns.
 
     Returns equal-length arrays keyed n, elg_kstar, elg_kn, elg_kvec, kstar
     and kn, one entry per horizon.
@@ -337,16 +331,14 @@ def scenario_table(
     The long-run bettor ignores temporal correlation and always bets
     2 p_inf - 1; the other two use the horizon-optimal constant fraction
     and the per-stage optimal vector. p_k does not depend on the horizon,
-    so the whole table is one p_k pass plus prefix sums, O(n_max): with
-    h_n = (p_0 + ... + p_{n-1})/n, K_n = 2 h_n - 1, a constant K earns
-    h_n log(1 + K) + (1 - h_n) log(1 - K), and the vector bettor earns
-    the running mean of p_k log(2 p_k) + (1 - p_k) log(2 (1 - p_k)).
+    so the whole table is the game's one p_k pass (spec.probs) plus prefix
+    sums, O(n): with h_n = (p_0 + ... + p_{n-1})/n, K_n = 2 h_n - 1, a
+    constant K earns h_n log(1 + K) + (1 - h_n) log(1 - K), and the vector
+    bettor earns the running mean of p_k log(2 p_k) + (1 - p_k) log(2 (1 - p_k)).
     """
-    if model.require_integer(n_max, "n_max") < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    kstar = policy_mod.kelly_limit(params)
-    p = model.prob_sequence(model.GameSpec(params=params, history=history, n=n_max))
-    horizons = np.arange(1, n_max + 1)
+    kstar = policy_mod.kelly_limit(spec.params)
+    p = spec.probs
+    horizons = np.arange(1, spec.n + 1)
     h = np.cumsum(p) / horizons
     kn = 2.0 * h - 1.0
     elg_kstar = h * math.log1p(kstar) + (1.0 - h) * math.log1p(-kstar)
@@ -357,6 +349,6 @@ def scenario_table(
         "elg_kstar": elg_kstar,
         "elg_kn": elg_kn,
         "elg_kvec": np.cumsum(stage_kvec) / horizons,
-        "kstar": np.full(n_max, kstar),
+        "kstar": np.full(spec.n, kstar),
         "kn": kn,
     }

@@ -210,19 +210,18 @@ def log_growth(x, pol):
 def monte_carlo_elg(config):
     """simulate.monte_carlo_elg one block at a time, on fresh arrays."""
     spec, m_paths = config.spec, config.paths
-    growth = {name: np.empty(m_paths) for name, _ in config.policies}
+    growth = [np.empty(m_paths) for _ in config.policies]
     offset = 0
     for x in sample_blocks(spec, m_paths, config.seed):
-        for name, pol in config.policies:
-            growth[name][offset : offset + len(x)] = log_growth(x, pol)
+        for log_vn, (_, pol) in zip(growth, config.policies):
+            log_vn[offset : offset + len(x)] = log_growth(x, pol)
         offset += len(x)
     stats = []
-    for name, pol in config.policies:
-        log_vn = growth[name]
+    for log_vn, (name, pol) in zip(growth, config.policies):
         g = log_vn / spec.n
         std_error = float(np.std(g, ddof=1) / math.sqrt(m_paths)) if m_paths > 1 else 0.0
         with np.errstate(over="ignore"):
-            finals = config.initial_value * np.exp(log_vn)
+            finals = np.exp(log_vn)
         if finals.max() == math.inf:
             raise NumericalError(f"final account value of policy {name!r} overflows")
         q = np.quantile(finals, (0.05, 0.5, 0.95))
@@ -235,7 +234,7 @@ def monte_carlo_elg(config):
                 final_value_quantiles=(float(q[0]), float(q[1]), float(q[2])),
             )
         )
-    return simulate.SimResult(paths=m_paths, seed=config.seed, stats=tuple(stats))
+    return simulate.SimResult(stats=tuple(stats))
 
 
 def prob_sequence(spec):

@@ -627,6 +627,19 @@ class TestRejectedInput:
         assert out == ""
         assert err.count("\n") == 1 and "omega" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command", [("kelly",), ("elg", "--k", "0.1"), ("scenario",), ("simulate",)]
+    )
+    def test_non_positive_horizon(self, capsys, command, n):
+        # scenario used to name its own n_max check instead.
+        code, out, err = run(
+            capsys, command[0], "--omega", "0.55,0.2", "--history", "+1", f"--n={n}",
+            *command[1:],
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and f"horizon must be >= 1, got {n}" in err
+
     @pytest.mark.parametrize("price", ["inf", "nan"])
     def test_non_finite_price(self, capsys, tmp_path, price):
         prices = tmp_path / "prices.csv"

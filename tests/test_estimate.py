@@ -85,6 +85,12 @@ class TestObservationSet:
         with pytest.raises(DimensionMismatch):
             estimate.ObservationSet(data=(1, -1), m=0)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, float("nan")])
+    def test_non_integral_depth_rejected(self, m):
+        # 2.5 used to be accepted.
+        with pytest.raises(DomainError, match="model depth must be an integer"):
+            estimate.ObservationSet(data=(1, -1, 1, -1), m=m)
+
 
 class TestBuildRegression:
     def test_hand_example(self):

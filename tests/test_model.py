@@ -40,7 +40,7 @@ def random_spec(rng, m, n):
 
 class TestValidateParams:
     def test_scenario_a_margin(self):
-        params = model.validate_params([0.55, 0.20], m=1)
+        params = model.validate_params([0.55, 0.20])
         assert params.margin == pytest.approx(0.25, abs=1e-8)
 
     def test_center_of_diamond(self):
@@ -58,9 +58,7 @@ class TestValidateParams:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            model.validate_params([0.5, 0.1, 0.1], m=1)
-        with pytest.raises(DimensionMismatch):
-            model.validate_params([0.5], m=0)
+            model.validate_params([0.5])
 
     @pytest.mark.parametrize(
         "omega", [[math.nan, 0.1], [0.5, math.nan], [math.inf, 0.1], [0.5, -math.inf]]
@@ -120,24 +118,24 @@ class TestHistoryAndSpec:
         assert model.History((1, -1, 1)).induced_probs == (1.0, 0.0, 1.0)
 
 
+def cond_prob(params, window):
+    """The head probability after ``window``, most recent first, read from the table."""
+    return model.transition_table(params)[model.History(tuple(window)).state]
+
+
 class TestCondProb:
     def test_scenario_a_after_head(self):
         params = model.validate_params([0.55, 0.20])
-        assert model.cond_prob(params, [1]) == pytest.approx(0.75, abs=1e-12)
+        assert cond_prob(params, [1]) == pytest.approx(0.75, abs=1e-12)
 
     def test_negative_weight_after_head(self):
         params = model.validate_params([0.55, -0.20])
-        assert model.cond_prob(params, [1]) == pytest.approx(0.35, abs=1e-12)
+        assert cond_prob(params, [1]) == pytest.approx(0.35, abs=1e-12)
 
     def test_memoryless_ignores_window(self):
         params = model.validate_params([0.6, 0.0])
-        assert model.cond_prob(params, [1]) == pytest.approx(0.6)
-        assert model.cond_prob(params, [-1]) == pytest.approx(0.6)
-
-    def test_window_length_checked(self):
-        params = model.validate_params([0.55, 0.20])
-        with pytest.raises(DimensionMismatch):
-            model.cond_prob(params, [1, -1])
+        assert cond_prob(params, [1]) == pytest.approx(0.6)
+        assert cond_prob(params, [-1]) == pytest.approx(0.6)
 
     def test_always_inside_unit_interval(self):
         rng = random.Random(11)
@@ -145,7 +143,7 @@ class TestCondProb:
             m = rng.randint(1, 4)
             params = model.validate_params(bruteforce.random_valid_omega(rng, m))
             window = bruteforce.random_history(rng, m)
-            p = model.cond_prob(params, window)
+            p = cond_prob(params, window)
             assert model.EPS_MARGIN < p < 1 - model.EPS_MARGIN
 
 
@@ -171,12 +169,6 @@ class TestTransitionTable:
         assert model.History((-1, 1, 1)).state == 0b110
         for state in range(2**4):
             assert model.History(window_of(state, 4)).state == state
-
-    def test_cond_prob_reads_table(self):
-        params = model.validate_params([0.5, 0.2, -0.1, 0.15])
-        table = model.transition_table(params)
-        for state in range(8):
-            assert model.cond_prob(params, window_of(state, 3)) == table[state]
 
     def test_depth_cap(self):
         params = model.validate_params(
@@ -290,6 +282,24 @@ class TestClosedForm:
         with pytest.raises(UnsupportedDepth):
             model.closed_form_p_k(params, 0.7, 1)
 
+    @pytest.mark.parametrize(
+        "p0,k,match",
+        [
+            # -1 and 2.5 used to give 0.375 and 0.575, NaN a NaN, and
+            # 10**400 an OverflowError.
+            (0.5, -1, "k >= 0 and p0 in"),
+            (0.5, 2.5, "k must be an integer"),
+            (0.5, 2.0, "k must be an integer"),
+            pytest.param(0.5, 10**400, "k is too large", id="0.5-10**400"),
+            (math.nan, 3, "k >= 0 and p0 in"),
+            (-0.1, 3, "k >= 0 and p0 in"),
+            (1.5, 3, "k >= 0 and p0 in"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, p0, k, match):
+        with pytest.raises(DomainError, match=match):
+            model.closed_form_p_k(model.validate_params([0.55, 0.20]), p0, k)
+
     def test_matches_recursion_everywhere(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -369,6 +379,23 @@ class TestLambdaN:
     def test_rejects_deeper_memory(self):
         with pytest.raises(UnsupportedDepth):
             model.lambda_n(model.validate_params([0.5, 0.1, 0.1]), 3)
+
+    @pytest.mark.parametrize(
+        "n,match",
+        [
+            # 2.5 used to give 0.599, and 10**400 an OverflowError.
+            (2.5, "n must be an integer"),
+            (2.0, "n must be an integer"),
+            (math.nan, "n must be an integer"),
+            pytest.param(10**400, "n is too large", id="10**400"),
+        ],
+    )
+    def test_bad_horizon_rejected(self, n, match):
+        with pytest.raises(DomainError, match=match):
+            model.lambda_n(model.validate_params([0.55, 0.20]), n)
+
+    def test_huge_integer_horizon_is_finite(self):
+        assert 0 < model.lambda_n(model.validate_params([0.55, 0.20]), 10**300) < 1e-299
 
 
 def m3_polynomial(omega, history):

@@ -49,6 +49,16 @@ class TestSamplePath:
         path = simulate.sample_path(spec, stream_seed=5)
         assert set(np.unique(path)) <= {-1, 1}
 
+    @settings(deadline=None)
+    @given(game=valid_games(), n=st.integers(1, 40), seed=st.integers(0, 2**64 - 1))
+    def test_equals_the_first_row_of_sample_paths(self, game, n, seed):
+        # Two samplers of one stream: the Python loop and block 0 of the
+        # block sampler.
+        spec = model.GameSpec(params=game[0], history=game[1], n=n)
+        one, block = simulate.sample_path(spec, seed), simulate.sample_paths(spec, 1, seed)[0]
+        assert one.dtype == block.dtype
+        np.testing.assert_array_equal(one, block)
+
     def test_near_degenerate_probability(self):
         spec = make_spec([0.99, 0.0], [1], n=2000)
         path = simulate.sample_path(spec, stream_seed=7)
@@ -137,8 +147,6 @@ class TestSimConfig:
             simulate.SimConfig(spec=SPEC_A2, policies=(), paths=0)
         with pytest.raises(DomainError):
             simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, seed=-1)
-        with pytest.raises(DomainError):
-            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, initial_value=0.0)
         bad = policy.BettorPolicy.varying([0.1, 0.1, 0.1])
         with pytest.raises(DimensionMismatch):
             simulate.SimConfig(spec=SPEC_A2, policies=(("bad", bad),), paths=10)
@@ -148,11 +156,13 @@ class TestSimConfig:
         with pytest.raises(DomainError, match="seed"):
             simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, seed=1.5)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_initial_value_rejected(self, value):
-        # NaN used to pass the positivity test and give NaN quantiles.
-        with pytest.raises(DomainError, match="initial account value"):
-            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=10, initial_value=value)
+    @pytest.mark.parametrize(
+        "bad", [0.3, None, (0.1,), "0.3"], ids=["float", "None", "tuple", "str"]
+    )
+    def test_policy_that_is_not_a_bettor_policy_rejected(self, bad):
+        # It used to raise AttributeError on .fractions.
+        with pytest.raises(DomainError, match="policy 'k' is not a BettorPolicy"):
+            simulate.SimConfig(spec=SPEC_A2, policies=(("k", bad),), paths=10)
 
     @pytest.mark.parametrize("paths", [1.5, 2.0])
     def test_non_integral_path_count_rejected(self, paths):
@@ -443,17 +453,19 @@ class TestMonteCarloElg:
         with pytest.raises(NumericalError, match="overflows"):
             simulate.monte_carlo_elg(config)
 
-    def test_initial_value_scales_quantiles(self):
-        config = simulate.SimConfig(
-            spec=SPEC_A2,
-            policies=(("kn", policy.BettorPolicy.constant(0.4)),),
-            paths=4000,
-            seed=23,
-            initial_value=100.0,
-        )
-        stats = simulate.monte_carlo_elg(config).stats[0]
-        assert stats.final_value_quantiles[2] <= 100.0 * 1.4**2 + 1e-9
-        assert stats.final_value_quantiles[0] >= 100.0 * 0.6**2 - 1e-9
+    def test_policies_sharing_a_name_keep_their_own_growth(self):
+        # Both used to report the second policy's statistics, since the
+        # growth arrays were keyed by name.
+        constant = policy.BettorPolicy.constant
+        pair = (("k", constant(0.1)), ("k", constant(0.2)))
+        both = simulate.monte_carlo_elg(
+            simulate.SimConfig(spec=SPEC_A2, policies=pair, paths=1000, seed=1)
+        ).stats
+        for one, got in zip(pair, both):
+            alone = simulate.monte_carlo_elg(
+                simulate.SimConfig(spec=SPEC_A2, policies=(one,), paths=1000, seed=1)
+            ).stats
+            assert alone == (got,)
 
 
 def rows(table):
@@ -467,7 +479,9 @@ class TestScenarioTable:
     def test_rows_match_per_horizon_definitions(self, game, n_max):
         params, history = game
         kstar = policy.kelly_limit(params)
-        table = simulate.scenario_table(params, history, n_max=n_max)
+        table = simulate.scenario_table(
+            model.GameSpec(params=params, history=history, n=n_max)
+        )
         assert {len(column) for column in table.values()} == {n_max}
         assert table["n"].tolist() == list(range(1, n_max + 1))
         for row in rows(table):
@@ -486,9 +500,7 @@ class TestScenarioTable:
             assert row["elg_kn"] >= row["elg_kstar"] - 1e-12
 
     def test_scenario_a_n2_row(self):
-        table = simulate.scenario_table(
-            model.validate_params([0.55, 0.20]), model.History((1,)), n_max=2
-        )
+        table = simulate.scenario_table(make_spec([0.55, 0.20], [1], n=2))
         row = rows(table)[1]
         assert row["n"] == 2
         assert row["elg_kstar"] == pytest.approx(0.053, abs=5e-4)
@@ -498,17 +510,13 @@ class TestScenarioTable:
         assert row["kn"] == pytest.approx(0.4, abs=1e-9)
 
     def test_scenario_b_n2_row(self):
-        table = simulate.scenario_table(
-            model.validate_params([0.55, -0.20]), model.History((1,)), n_max=2
-        )
+        table = simulate.scenario_table(make_spec([0.55, -0.20], [1], n=2))
         row = rows(table)[1]
         assert row["kstar"] == pytest.approx(0.071, abs=5e-4)
         assert row["kn"] == pytest.approx(-0.04, abs=1e-9)
 
     def test_scenario_c_sign_change(self):
-        table = simulate.scenario_table(
-            model.validate_params([0.35, 0.33]), model.History((1,)), n_max=30
-        )
+        table = simulate.scenario_table(make_spec([0.35, 0.33], [1], n=30))
         for row in rows(table):
             if row["n"] <= 10:
                 assert row["elg_kstar"] < 0
@@ -522,23 +530,7 @@ class TestScenarioTable:
         scenarios = [[0.55, 0.20], [0.55, -0.20], [0.35, 0.33]]
         scenarios += [bruteforce.random_valid_omega(rng, 1) for _ in range(20)]
         for omega in scenarios:
-            table = simulate.scenario_table(
-                model.validate_params(omega), model.History((1,)), n_max=15
-            )
+            table = simulate.scenario_table(make_spec(omega, [1], n=15))
             for row in rows(table):
                 assert row["elg_kstar"] <= row["elg_kn"] + 1e-12
                 assert row["elg_kn"] <= row["elg_kvec"] + 1e-12
-
-    def test_bad_n_max(self):
-        with pytest.raises(DomainError):
-            simulate.scenario_table(
-                model.validate_params([0.55, 0.20]), model.History((1,)), n_max=0
-            )
-
-    @pytest.mark.parametrize("n_max", [2.5, 2.0, math.nan])
-    def test_non_integral_n_max_rejected(self, n_max):
-        # It used to raise TypeError from np.arange.
-        with pytest.raises(DomainError, match="n_max"):
-            simulate.scenario_table(
-                model.validate_params([0.55, 0.20]), model.History((1,)), n_max=n_max
-            )

@@ -1,6 +1,8 @@
 """The test tooling itself: a failing test is reported and the run goes on,
-and every span the benchmark requires names a function it can trace."""
+every span the benchmark requires names a function it can trace, and the
+README's library example runs."""
 
+import ast
 import importlib
 import inspect
 import subprocess
@@ -64,3 +66,23 @@ def test_benchmark_spans_name_public_functions(workload, tmp_path, monkeypatch):
         fn = getattr(module, name, None)
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, span
         assert not name.startswith("_"), span
+
+
+def test_readme_library_example_states_what_it_computes():
+    # A removed or renamed public name used to break the README silently.
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):  # a line whose comment states its value
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    horizon, fractions, elg_constant, elg_vector = values
+    assert horizon == pytest.approx(0.4, abs=1e-12)
+    assert fractions.tolist() == pytest.approx([0.5, 0.3], abs=1e-12)
+    assert not fractions.flags.writeable
+    assert elg_constant == pytest.approx(0.0823, abs=5e-5)
+    assert elg_vector == pytest.approx(0.0883, abs=5e-5)
