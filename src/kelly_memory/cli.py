@@ -261,7 +261,13 @@ def cmd_estimate(args) -> str:
         data=estimate.read_outcomes(args.data, column=args.column), m=args.m
     )
     fit = estimate.constrained_fit(obs) if args.constrained else estimate.ols_fit(obs)
-    return render(fit.as_json_dict(), args.format, args.precision)
+    record = {
+        "omega": fit.omega_hat,
+        "rss": fit.rss,
+        "constrained": fit.constrained,
+        "projected": fit.projected,
+    }
+    return render(record, args.format, args.precision)
 
 
 def cmd_ingest(args) -> str:

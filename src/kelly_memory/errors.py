@@ -56,8 +56,4 @@ class SingularDesign(NumericalError):
 
 
 class NonConvergence(NumericalError):
-    """Iteration limit hit; ``last_iterate`` holds the final point."""
-
-    def __init__(self, message: str, last_iterate=None):
-        self.last_iterate = last_iterate
-        super().__init__(message)
+    """An iteration hit its limit before converging."""

@@ -7,7 +7,10 @@ its normal equations X'X w = X'y; with outcomes in {-1, +1} and responses
 in {0, 1} both sides are sums of integers, so they are formed exactly.
 The optionally constrained fit keeps the estimate inside the hyperdiamond
 via projected gradient descent on the same system, with an exact l1-ball
-projection in the coordinates shifted by the diamond center.
+projection in the coordinates shifted by the diamond center. Every fit
+ends in one FitResult, built in one place: the coefficients, the residual
+sum of squares, whether the fit was constrained and its projected-gradient
+iterations. ``projected`` is derived from those, iterations > 0.
 
 Also provides ingestion of price series into +1/-1 move sequences and the
 file formats consumed by the CLI. Values are parsed by numpy's C text
@@ -20,8 +23,9 @@ decoded as text is reported without a line number.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -36,9 +40,7 @@ from .errors import (
     NonConvergence,
     SingularDesign,
 )
-from .model import EPS_MARGIN, require_integer
-
-DIAMOND_RADIUS = 0.5 - EPS_MARGIN
+from .model import DIAMOND_RADIUS, require_integer, require_real, require_reals
 
 # Relative eigenvalue cutoff (smallest over largest eigenvalue of X'X, the
 # squared singular-value ratio of X) below which the normal system is
@@ -55,17 +57,22 @@ class ObservationSet:
     """Chronological +1/-1 outcomes paired with the model depth to fit.
 
     ``data`` may be any sequence or array; it is stored as a read-only
-    int64 copy.
+    int64 copy, and ``m`` as an int.
     """
 
     data: np.ndarray
     m: int
 
     def __post_init__(self):
-        if require_integer(self.m, "model depth") < 1:
-            raise DimensionMismatch(f"model depth must be >= 1, got {self.m}")
-        data = np.array(self.data)
-        if data.ndim != 1 or not np.all((data == 1) | (data == -1)):
+        m = require_integer(self.m, "model depth")
+        if m < 1:
+            raise DimensionMismatch(f"model depth must be >= 1, got {m}")
+        object.__setattr__(self, "m", m)
+        try:
+            data = np.array(self.data)
+        except ValueError:  # a ragged nest of sequences
+            data = np.array(None)
+        if data.dtype.kind not in "iuf" or data.ndim != 1 or not np.all(abs(data) == 1):
             raise DomainError("observations must be +1/-1")
         data = data.astype(np.int64, copy=False)
         data.flags.writeable = False
@@ -82,19 +89,17 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit's (w0, ..., wm), its residual sum of squares and its projected-gradient steps."""
+
     omega_hat: tuple[float, ...]
     rss: float
     constrained: bool
     iterations: int
-    projected: bool
 
-    def as_json_dict(self) -> dict:
-        return {
-            "omega": list(self.omega_hat),
-            "rss": self.rss,
-            "constrained": self.constrained,
-            "projected": self.projected,
-        }
+    @property
+    def projected(self) -> bool:
+        """Whether projected gradient ran, as it does when OLS leaves the hyperdiamond."""
+        return self.iterations > 0
 
 
 # The move a flat step becomes under each tie rule; "drop" removes it.
@@ -108,9 +113,9 @@ def ingest_prices(prices: Sequence[float], tie_rule: str = "drop") -> np.ndarray
     coerced per ``tie_rule`` ("drop", "up", "down"). Raises EmptyResult
     when no usable moves remain.
     """
-    if tie_rule not in _TIE_MOVES:
+    if not isinstance(tie_rule, str) or tie_rule not in _TIE_MOVES:
         raise DomainError(f"unknown tie rule {tie_rule!r}")
-    prices = np.asarray(prices, dtype=float)
+    prices = require_reals(prices, "prices")
     # NaN fails both comparisons, so this one pass rejects it too.
     if not np.all((prices > 0.0) & (prices < np.inf)):
         raise DomainError("prices must be positive and finite")
@@ -147,9 +152,13 @@ _NormalSystem = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _normal_system(obs: ObservationSet) -> _NormalSystem:
-    """(X, y, X'X, X'y), the regression built once; raises SingularDesign
-    when the normal system cannot be solved."""
-    _require_fit_rows(obs)
+    """(X, y, X'X, X'y), the regression built once; raises InsufficientData
+    below m + 2 rows and SingularDesign when the system cannot be solved."""
+    if len(obs) - obs.m < obs.m + 2:
+        raise InsufficientData(
+            f"need at least {2 * obs.m + 2} observations at depth {obs.m}, "
+            f"got {len(obs)}"
+        )
     X, y = build_regression(obs)
     gram = X.T @ X
     eig = np.linalg.eigvalsh(gram)
@@ -160,12 +169,11 @@ def _normal_system(obs: ObservationSet) -> _NormalSystem:
     return X, y, gram, X.T @ y
 
 
-def _require_fit_rows(obs: ObservationSet) -> None:
-    if len(obs) - obs.m < obs.m + 2:
-        raise InsufficientData(
-            f"need at least {2 * obs.m + 2} observations at depth {obs.m}, "
-            f"got {len(obs)}"
-        )
+def _fit_result(system: _NormalSystem, w: np.ndarray, constrained: bool, iterations: int):
+    """The FitResult of the point ``w`` on a fit's normal system; every fit ends here."""
+    X, y = system[:2]
+    rss = float(np.sum((y - X @ w) ** 2))
+    return FitResult(tuple(float(v) for v in w), rss, constrained, iterations)
 
 
 def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResult:
@@ -174,16 +182,9 @@ def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResu
     ``system`` is the normal system of ``obs`` when the caller has
     already built it (constrained_fit does).
     """
-    X, y, gram, xty = _normal_system(obs) if system is None else system
-    omega_hat = np.linalg.solve(gram, xty)
-    rss = float(np.sum((y - X @ omega_hat) ** 2))
-    return FitResult(
-        omega_hat=tuple(float(w) for w in omega_hat),
-        rss=rss,
-        constrained=False,
-        iterations=0,
-        projected=False,
-    )
+    system = _normal_system(obs) if system is None else system
+    _, _, gram, xty = system
+    return _fit_result(system, np.linalg.solve(gram, xty), False, 0)
 
 
 def constrained_fit(obs: ObservationSet) -> FitResult:
@@ -191,22 +192,16 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
 
     Returns the plain OLS estimate when it is already feasible. Otherwise
     runs projected gradient descent from the projected OLS point until the
-    step-to-step change drops below 1e-10; raises NonConvergence (carrying
-    the last iterate) if 10^4 iterations do not get there.
+    step-to-step change drops below 1e-10; raises NonConvergence if 10^4
+    iterations do not get there.
     """
     system = _normal_system(obs)
     ols = ols_fit(obs, system)
     omega = np.asarray(ols.omega_hat)
     if _diamond_distance(omega) <= DIAMOND_RADIUS:
-        return FitResult(
-            omega_hat=ols.omega_hat,
-            rss=ols.rss,
-            constrained=True,
-            iterations=0,
-            projected=False,
-        )
+        return replace(ols, constrained=True)
 
-    X, y, gram, xty = system
+    X, _, gram, xty = system
     scale = 2.0 / X.shape[0]
     gram = scale * gram
     lipschitz = _power_lmax(gram)
@@ -222,18 +217,8 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
         if change < _PG_TOL:
             break
     else:
-        raise NonConvergence(
-            f"projected gradient did not converge in {_PG_MAX_ITER} iterations",
-            last_iterate=tuple(float(v) for v in w),
-        )
-    rss = float(np.sum((y - X @ w) ** 2))
-    return FitResult(
-        omega_hat=tuple(float(v) for v in w),
-        rss=rss,
-        constrained=True,
-        iterations=iteration,
-        projected=True,
-    )
+        raise NonConvergence(f"projected gradient did not converge in {_PG_MAX_ITER} iterations")
+    return _fit_result(system, w, True, iteration)
 
 
 def _diamond_distance(omega: np.ndarray) -> float:
@@ -261,7 +246,10 @@ def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
     u = np.sort(a)[::-1]
     css = np.cumsum(u)
     ranks = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * ranks > css - radius)[0][-1]
+    rho = np.flatnonzero(u * ranks > css - radius)
+    # The first rank always qualifies, though a radius below half an ulp
+    # of the largest entry rounds its test to False.
+    rho = rho[-1] if rho.size else 0
     theta = (css[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
 
@@ -270,13 +258,22 @@ def project_hyperdiamond(omega: Sequence[float], radius: float) -> np.ndarray:
     """Closest point (Euclidean) of {|w0 - 1/2| + sum |wi| <= radius}.
 
     The projection is computed exactly in the coordinates shifted by the
-    diamond center (1/2, 0, ..., 0).
+    diamond center (1/2, 0, ..., 0). ``omega`` must be a non-empty vector
+    of finite numbers and ``radius`` positive and finite; a point so far
+    out that its distance overflows is a DomainError.
     """
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius}")
-    shifted = np.asarray(omega, dtype=float).copy()
+    radius, omega = require_real(radius, "radius"), require_reals(omega, "omega")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius}")
+    if omega.size == 0 or not np.isfinite(omega).all():
+        raise DomainError(f"omega must be a non-empty vector of finite numbers, got {omega}")
+    shifted = omega.copy()
     shifted[0] -= 0.5
-    projected = _project_l1_ball(shifted, radius)
+    try:
+        with np.errstate(over="raise"):
+            projected = _project_l1_ball(shifted, radius)
+    except FloatingPointError:
+        raise DomainError("omega is too far out to project: its distance overflows") from None
     projected[0] += 0.5
     return projected
 

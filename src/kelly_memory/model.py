@@ -17,6 +17,8 @@ head counts, a companion-form realization and a path-enumeration oracle.
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,9 +36,10 @@ from .errors import (
 )
 
 # Interior margin for the hyperdiamond constraint. The validity region is
-# enforced as a closed set |w0 - 1/2| + sum|wi| <= 1/2 - EPS_MARGIN so that
-# feasibility is decidable in floating point.
+# enforced as a closed set |w0 - 1/2| + sum|wi| <= DIAMOND_RADIUS, shrunk by
+# EPS_MARGIN so that feasibility is decidable in floating point.
 EPS_MARGIN = 1e-9
+DIAMOND_RADIUS = 0.5 - EPS_MARGIN
 
 # Caps on n for the 2^n path-enumeration oracle and on m for the 2^m table.
 MAX_ENUM_HORIZON = 20
@@ -55,26 +58,69 @@ STAGE_BYTES = 768
 
 
 def require_integer(value, what: str) -> int:
-    """``value`` as an int, or DomainError if it is not an integer (2.5, NaN, 2.0)."""
+    """``value`` as an int, or DomainError if it is not an integer (2.5, NaN, 2.0, True)."""
     try:
-        return index(value)
+        if not isinstance(value, bool):  # an int subclass, but never a count
+            return index(value)
     except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def require_real(value, what: str) -> float:
+    """``value`` as a float, or DomainError if it is not a real number (True, "1", [0.5], 10**400)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(f"{what} must be a real number, got {reprlib.repr(value)}")
+
+
+def require_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 vector, or DomainError unless numpy reads it as
+    a flat array of ints or floats: not strings, bools alone, nested or
+    ragged sequences, or ints past 64 bits."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        array = np.asarray(None)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be a sequence of real numbers, got {reprlib.repr(values)}")
+    return array.astype(float, copy=False)
+
+
+def budget_error(need: int, what: str) -> DomainError:
+    """The error for ``what`` needing ``need`` bytes, more than MEMORY_BUDGET."""
+    # Past 2**1024 bytes the size has no float, so the message gives a bound.
+    size = f"about {need / 2**30:.3g}" if need < 2**1000 else "at least 2**970"
+    return DomainError(f"{what} need {size} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+
+
+def check_stages(n: int) -> None:
+    """DomainError when a horizon of ``n`` stages, STAGE_BYTES each, exceeds MEMORY_BUDGET."""
+    if STAGE_BYTES * n > MEMORY_BUDGET:
+        raise budget_error(STAGE_BYTES * n, f"{n} bets")
 
 
 @dataclass(frozen=True)
 class MemoryParams:
-    """Coefficients (w0, ..., wm) of the conditional head probability; m = len(omega) - 1."""
+    """Coefficients (w0, ..., wm) of the conditional head probability; m = len(omega) - 1.
+
+    ``omega`` may be any flat sequence of real numbers; it is stored as a
+    tuple of floats.
+    """
 
     omega: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "omega", tuple(require_reals(self.omega, "omega").tolist()))
         if self.m < 1:
             raise DimensionMismatch(f"memory depth must be >= 1, got {self.m}")
         # NaN fails every comparison, so it would slip past the excess test.
         if not all(math.isfinite(w) for w in self.omega):
             raise DomainError(f"omega coefficients must be finite, got {self.omega}")
-        excess = self.l1_distance - (0.5 - EPS_MARGIN)
+        excess = self.l1_distance - DIAMOND_RADIUS
         if excess > 0:
             raise HyperdiamondViolation(excess)
 
@@ -91,21 +137,27 @@ class MemoryParams:
     @property
     def margin(self) -> float:
         """Slack remaining inside the shrunk hyperdiamond."""
-        return (0.5 - EPS_MARGIN) - self.l1_distance
+        return DIAMOND_RADIUS - self.l1_distance
 
 
 @dataclass(frozen=True)
 class History:
     """The m outcomes observed before bet 0, most recent first.
 
-    ``values[0]`` is x_{-1}, ``values[1]`` is x_{-2}, and so on.
+    ``values[0]`` is x_{-1}, ``values[1]`` is x_{-2}, and so on. The
+    entries must be the integers +1 and -1; they are stored as a tuple.
     """
 
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if any(v not in (-1, 1) for v in self.values):
-            raise DimensionMismatch(f"history entries must be +1/-1, got {self.values}")
+        try:
+            values = tuple(require_integer(v, "history entry") for v in self.values)
+        except TypeError:  # not iterable
+            raise DomainError(f"history must be a sequence, got {self.values!r}") from None
+        if any(v not in (-1, 1) for v in values):
+            raise DimensionMismatch(f"history entries must be +1/-1, got {values}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -123,7 +175,7 @@ class History:
 
 @dataclass(frozen=True)
 class GameSpec:
-    """A full betting problem: coefficients, initial history, and horizon."""
+    """A full betting problem: coefficients, initial history, and horizon (stored as an int)."""
 
     params: MemoryParams
     history: History
@@ -134,8 +186,10 @@ class GameSpec:
             raise DimensionMismatch(
                 f"history length {len(self.history)} != memory depth {self.params.m}"
             )
-        if require_integer(self.n, "horizon") < 1:
-            raise DimensionMismatch(f"horizon must be >= 1, got {self.n}")
+        n = require_integer(self.n, "horizon")
+        if n < 1:
+            raise DimensionMismatch(f"horizon must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -169,6 +223,9 @@ class StateSpace:
         w0 = A v0 + b is the state after the first update, the one whose
         last entry is p_0; powers of A then walk the recursion forward.
         """
+        k = require_integer(k, "k")
+        if k < 0:
+            raise DomainError(f"k must be >= 0, got {k}")
         m = self.A.shape[0]
         eye = np.eye(m)
         w0 = self.A @ self.v0 + self.b
@@ -188,7 +245,7 @@ def validate_params(omega: Sequence[float]) -> MemoryParams:
     Raises HyperdiamondViolation (carrying the excess), DomainError or
     DimensionMismatch.
     """
-    return MemoryParams(omega=tuple(float(w) for w in omega))
+    return MemoryParams(omega=omega)
 
 
 def transition_table(params: MemoryParams) -> np.ndarray:
@@ -223,12 +280,7 @@ def prob_sequence(spec: GameSpec) -> np.ndarray:
     4, ..., in O(1) extra memory. p stays inside (0, 1), never NaN or
     -0.0, so == on the window means equal bits.
     """
-    need = STAGE_BYTES * spec.n
-    if need > MEMORY_BUDGET:
-        raise DomainError(
-            f"{spec.n} bets need about {need / 2**30:.3g} GiB, "
-            f"over the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
+    check_stages(spec.n)
     w = spec.params.omega[1:]
     drift = spec.params.omega[0] - sum(w)
     # lags[i-1] holds p_{k-i}; starts at the induced initial conditions.
@@ -256,7 +308,7 @@ def closed_form_p_k(params: MemoryParams, p0: float, k: int) -> float:
     """Depth-1 closed form p_k = (2 w1)^k p_0 + [1 - (2 w1)^k] p_inf."""
     if params.m != 1:
         raise UnsupportedDepth(f"closed form requires m = 1, got m = {params.m}")
-    k = require_integer(k, "k")
+    k, p0 = require_integer(k, "k"), require_real(p0, "p0")
     if k < 0 or not 0.0 <= p0 <= 1.0:
         raise DomainError(f"closed form needs k >= 0 and p0 in [0, 1], got k = {k}, p0 = {p0}")
     decay = _power(2.0 * params.omega[1], k, "k")

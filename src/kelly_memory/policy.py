@@ -86,12 +86,15 @@ class BettorPolicy:
 
 @dataclass(frozen=True)
 class PayoffModel:
-    """Possible per-unit payoffs and their expected long-run frequencies."""
+    """Possible per-unit payoffs and their expected long-run frequencies, as tuples of floats."""
 
     outcomes: tuple[float, ...]
     frequencies: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("outcomes", "frequencies"):
+            values = tuple(model.require_reals(getattr(self, name), name).tolist())
+            object.__setattr__(self, name, values)
         if len(self.outcomes) < 2:
             raise DimensionMismatch("need at least two outcomes")
         if len(self.outcomes) != len(self.frequencies):
@@ -121,6 +124,7 @@ class MultiOutcomeOptimum:
 
 def kelly_classical(p: float) -> float:
     """Memoryless even-money optimum K* = 2p - 1."""
+    p = model.require_real(p, "head probability")
     if not 0.0 < p < 1.0:
         raise DomainError(f"head probability {p} outside (0, 1)")
     return 2.0 * p - 1.0
@@ -143,6 +147,7 @@ def kelly_timevarying(spec: model.GameSpec) -> BettorPolicy:
 
 def elg_time_invariant(spec: model.GameSpec, k: float) -> float:
     """Analytic ELG of betting the constant fraction k every stage."""
+    k = model.require_real(k, "betting fraction")
     if not -1.0 < k < 1.0:
         raise DomainError(f"betting fraction {k} outside (-1, 1)")
     h = model.expected_heads(spec) / spec.n
@@ -177,6 +182,9 @@ def elg(spec: model.GameSpec, policy: BettorPolicy) -> float:
 
 def elg_multioutcome(payoff: PayoffModel, k: float) -> float:
     """ELG sum_i freq_i log(1 + k x_i); zero-frequency outcomes are skipped."""
+    k = model.require_real(k, "betting fraction")
+    if not math.isfinite(k):
+        raise DomainError(f"betting fraction must be finite, got {k}")
     total = 0.0
     for x, f in zip(payoff.outcomes, payoff.frequencies):
         if f == 0.0:

@@ -34,7 +34,10 @@ _QUANTILES = (0.05, 0.5, 0.95)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A simulation run: game, named policies (a name is only a label), path count, seed."""
+    """A simulation run: game, named policies (a name is only a label), path count, seed.
+
+    The path count and the seed are stored as ints.
+    """
 
     spec: model.GameSpec
     policies: tuple[tuple[str, policy_mod.BettorPolicy], ...]
@@ -42,9 +45,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        seed = model.require_integer(self.seed, "seed")
-        if not 0 <= seed < 2**64:
-            raise DomainError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "seed", require_seed(self.seed))
+        object.__setattr__(self, "paths", model.require_integer(self.paths, "path count"))
         check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
             if not isinstance(pol, policy_mod.BettorPolicy):
@@ -73,6 +75,14 @@ class SimResult:
     stats: tuple[PolicyStats, ...]
 
 
+def require_seed(seed) -> int:
+    """``seed`` as an int, or DomainError unless it is an integer in [0, 2**64)."""
+    seed = model.require_integer(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise DomainError("seed must fit in 64 unsigned bits")
+    return seed
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on, or all of them where affinity is unknown."""
     try:
@@ -92,10 +102,11 @@ def _worker_bytes(rows: int, n: int) -> int:
     return 17 * rows * n + 64 * rows
 
 
-def _workers(n: int, paths: int, held: int) -> int:
+def _workers(n: int, paths: int, per_path: int, held: int) -> int:
     """Worker threads for a run of ``paths`` paths of ``n`` steps.
 
-    ``held`` counts the bytes the run holds besides its workers' buffers.
+    The run holds ``per_path`` bytes per path and ``held`` more besides its
+    workers' buffers; the path count is checked before it is multiplied.
     The request is accepted when it fits in MEMORY_BUDGET with one worker,
     so the same request is accepted on every machine. It then gets one
     worker per usable CPU, but no more workers than blocks, and no more
@@ -105,12 +116,9 @@ def _workers(n: int, paths: int, held: int) -> int:
     if paths < 1:
         raise DomainError(f"path count must be >= 1, got {paths}")
     worker = _worker_bytes(min(paths, BLOCK_PATHS), n)
-    need = held + worker
+    need = held + per_path * paths + worker
     if need > MEMORY_BUDGET:
-        raise DomainError(
-            f"{paths} paths of {n} bets need about {need / 2**30:.3g} GiB, "
-            f"over the {MEMORY_BUDGET / 2**30:g} GiB budget"
-        )
+        raise model.budget_error(need, f"{paths} paths of {n} bets")
     blocks = -(-paths // BLOCK_PATHS)
     return min(_usable_cpus(), blocks, 1 + (MEMORY_BUDGET - need) // worker)
 
@@ -124,12 +132,13 @@ def check_budget(n: int, paths: int, policies: int) -> int:
     each policy's growth array, the statistics' scratch array and
     np.std's temporary. Returns the number of worker threads the run uses.
     """
-    return _workers(n, paths, STAGE_BYTES * n + 8 * (policies + 2) * paths)
+    return _workers(n, paths, 8 * (policies + 2), STAGE_BYTES * n)
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
     """One +1/-1 path of length n, deterministic in stream_seed; a Python-float loop."""
-    gen = np.random.Generator(np.random.Philox(key=stream_seed))
+    model.check_stages(spec.n)
+    gen = np.random.Generator(np.random.Philox(key=require_seed(stream_seed)))
     table = model.transition_table(spec.params).tolist()
     state, mask, heads = spec.history.state, len(table) - 1, []
     for u in gen.random(spec.n).tolist():
@@ -197,7 +206,8 @@ def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     The array and one worker's buffers must fit in MEMORY_BUDGET; a larger
     request raises DomainError before anything is allocated.
     """
-    workers = _workers(spec.n, paths, 8 * paths * spec.n)
+    seed = require_seed(seed)
+    workers = _workers(spec.n, paths, 8 * spec.n, 0)
     x = np.empty((paths, spec.n), dtype=np.int64)
 
     def write(blocks):

@@ -640,6 +640,16 @@ class TestRejectedInput:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and f"horizon must be >= 1, got {n}" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("kelly", "--n", str(10**400)), ("simulate", "--n", "3", "--paths", str(10**400))],
+        ids=["kelly-n", "simulate-paths"],
+    )
+    def test_count_too_large_for_a_float(self, capsys, argv):
+        # It used to end in an OverflowError traceback.
+        code, out, err = run(capsys, *argv, "--omega", "0.55,0.2", "--history", "+1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "GiB, over the 2 GiB budget" in err
+
     @pytest.mark.parametrize("price", ["inf", "nan"])
     def test_non_finite_price(self, capsys, tmp_path, price):
         prices = tmp_path / "prices.csv"

@@ -1,5 +1,6 @@
 import csv
-import json
+import dataclasses
+import math
 import random
 import tempfile
 from pathlib import Path
@@ -71,6 +72,15 @@ class TestIngestPrices:
         with pytest.raises(DomainError):
             estimate.ingest_prices([1, 2], tie_rule="flip")
 
+    @pytest.mark.parametrize(
+        "prices", [np.ones((3, 2)), [[100.0, 101.0]], ["100", "101"], [True, True]],
+        ids=["2-D", "nested", "strings", "bool"],
+    )
+    def test_not_a_vector_of_numbers_rejected(self, prices):
+        # A 2-D array used to be accepted, moves taken along its rows.
+        with pytest.raises(DomainError, match="prices must be a sequence of real numbers"):
+            estimate.ingest_prices(prices)
+
 
 class TestObservationSet:
     def test_rejects_bad_values(self):
@@ -85,11 +95,24 @@ class TestObservationSet:
         with pytest.raises(DimensionMismatch):
             estimate.ObservationSet(data=(1, -1), m=0)
 
-    @pytest.mark.parametrize("m", [2.5, 2.0, float("nan")])
+    @pytest.mark.parametrize("m", [2.5, 2.0, float("nan"), True])
     def test_non_integral_depth_rejected(self, m):
         # 2.5 used to be accepted.
         with pytest.raises(DomainError, match="model depth must be an integer"):
             estimate.ObservationSet(data=(1, -1, 1, -1), m=m)
+
+    def test_depth_is_stored_as_an_int(self):
+        # np.int64's largest value used to overflow in the length check.
+        with pytest.raises(InsufficientData):
+            estimate.ObservationSet(data=(1, -1), m=np.int64(2**63 - 1))
+        assert type(estimate.ObservationSet(data=(1, -1, 1), m=np.int64(1)).m) is int
+
+    @pytest.mark.parametrize(
+        "data", [[[1, -1], [1]], ["1", "-1"], None], ids=["ragged", "strings", "None"]
+    )
+    def test_not_a_vector_of_outcomes_rejected(self, data):
+        with pytest.raises(DomainError, match="observations must be"):
+            estimate.ObservationSet(data=data, m=1)
 
 
 class TestBuildRegression:
@@ -183,6 +206,14 @@ class TestConstrainedFit:
         assert fit.constrained and not fit.projected
         assert fit.iterations == 0
 
+    def test_projected_is_derived_from_iterations(self):
+        # It used to be a fifth field, free to disagree with iterations.
+        assert [f.name for f in dataclasses.fields(estimate.FitResult)] == [
+            "omega_hat", "rss", "constrained", "iterations"
+        ]
+        assert estimate.FitResult((0.5, 0.1), 1.0, True, 3).projected
+        assert not estimate.FitResult((0.5, 0.1), 1.0, True, 0).projected
+
     def test_alternating_data_projected_to_boundary(self):
         data = tuple(1 if i % 2 == 0 else -1 for i in range(400))
         obs = estimate.ObservationSet(data=data, m=1)
@@ -239,6 +270,31 @@ class TestProjectHyperdiamond:
     def test_bad_radius(self):
         with pytest.raises(DomainError):
             estimate.project_hyperdiamond([0.5, 0.1], 0.0)
+
+    @pytest.mark.parametrize(
+        "omega,radius",
+        [
+            ([math.nan, 0.1], 0.5),
+            ([0.5, math.inf], 0.5),
+            ([-math.inf, 0.1], 0.5),
+            ([0.5, 0.1], math.nan),
+            ([0.5, 0.1], math.inf),
+            ([], 0.5),
+            ([[0.5, 0.1]], 0.5),
+            ([0.5, 0.1], "0.5"),
+            ([1e308, 1e308], 0.5),
+        ],
+        ids=["nan", "inf", "-inf", "nan-radius", "inf-radius", "empty", "2-D", "str-radius",
+             "overflow"],
+    )
+    def test_bad_input_rejected(self, omega, radius):
+        # NaN and an empty omega used to raise IndexError.
+        with pytest.raises(DomainError):
+            estimate.project_hyperdiamond(omega, radius)
+
+    def test_radius_below_rounding(self):
+        # The l1 step used to find no qualifying rank and raise IndexError.
+        np.testing.assert_array_equal(estimate.project_hyperdiamond([0.0], 1e-300), [0.5])
 
     def test_feasible_idempotent_nonexpansive(self):
         rng = np.random.default_rng(29)
@@ -365,14 +421,6 @@ class TestFileIO:
         f.write_text("date,close\na,100\n")
         with pytest.raises(InputError):
             estimate.read_prices(f)
-
-    def test_fit_result_json_schema(self):
-        data = tuple(1 if i % 3 else -1 for i in range(60))
-        fit = estimate.ols_fit(estimate.ObservationSet(data=data, m=1))
-        payload = fit.as_json_dict()
-        assert set(payload) == {"omega", "rss", "constrained", "projected"}
-        assert json.dumps(payload)  # serializable
-        assert payload["constrained"] is False
 
 
 def outcome(fn, *args):

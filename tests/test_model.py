@@ -61,6 +61,21 @@ class TestValidateParams:
             model.validate_params([0.5])
 
     @pytest.mark.parametrize(
+        "omega",
+        [["a", 0.1], [0.5, [0.1]], [[0.5, 0.1]], 0.5, [True, False], [0.5, 10**400]],
+        ids=["str", "ragged", "2-D", "scalar", "bool", "huge"],
+    )
+    def test_not_a_vector_of_numbers_rejected(self, omega):
+        # ["a", 0.1] used to raise ValueError, and 0.5 TypeError.
+        with pytest.raises(DomainError, match="omega must be a sequence of real numbers"):
+            model.validate_params(omega)
+
+    def test_omega_stored_as_a_float_tuple(self):
+        params = model.MemoryParams(np.array([0.55, 0.2]))
+        assert params.omega == (0.55, 0.2) and type(params.omega[0]) is float
+        assert hash(params) == hash(model.validate_params([0.55, 0.2]))
+
+    @pytest.mark.parametrize(
         "omega", [[math.nan, 0.1], [0.5, math.nan], [math.inf, 0.1], [0.5, -math.inf]]
     )
     def test_non_finite_rejected(self, omega):
@@ -93,6 +108,31 @@ class TestHistoryAndSpec:
     def test_history_rejects_bad_entries(self):
         with pytest.raises(DimensionMismatch):
             model.History((1, 0))
+
+    @pytest.mark.parametrize(
+        "values", [(1.0, True), (1, True), (1.0, -1), ("+1",), 1],
+        ids=["float-bool", "bool", "float", "str", "scalar"],
+    )
+    def test_history_entries_must_be_integers(self, values):
+        # (1.0, True) used to be accepted, and 1 raised TypeError.
+        with pytest.raises(DomainError, match="history"):
+            model.History(values)
+
+    def test_history_stores_a_tuple(self):
+        # A list used to be kept, so the History could not be hashed.
+        history = model.History([1, np.int64(-1)])
+        assert history.values == (1, -1) and type(history.values[1]) is int
+        assert hash(history) == hash(model.History((1, -1)))
+
+    def test_bool_horizon_rejected(self):
+        # True used to be accepted as a horizon of 1.
+        with pytest.raises(DomainError, match="horizon must be an integer"):
+            make_spec([0.55, 0.20], [1], n=True)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_require_integer_rejects_bools(self, value):
+        with pytest.raises(DomainError, match="count must be an integer"):
+            model.require_integer(value, "count")
 
     def test_spec_checks_lengths(self):
         params = model.validate_params([0.55, 0.20])
@@ -394,6 +434,11 @@ class TestLambdaN:
         with pytest.raises(DomainError, match=match):
             model.lambda_n(model.validate_params([0.55, 0.20]), n)
 
+    def test_bool_horizon_rejected(self):
+        # True used to give lambda_1 = 1.
+        with pytest.raises(DomainError, match="n must be an integer"):
+            model.lambda_n(model.validate_params([0.55, 0.20]), True)
+
     def test_huge_integer_horizon_is_finite(self):
         assert 0 < model.lambda_n(model.validate_params([0.55, 0.20]), 10**300) < 1e-299
 
@@ -492,6 +537,17 @@ class TestStateSpace:
             for k in (0, 1, 2, 3, 10, 57, 200):
                 assert ss.probability_at(k) == pytest.approx(probs[k], abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "k,match",
+        [(-1, "k must be >= 0"), (2.5, "k must be an integer"), (True, "k must be an integer")],
+        ids=["-1", "2.5", "True"],
+    )
+    def test_bad_stage_rejected(self, k, match):
+        # -1 used to give 0.99999..., and 2.5 a TypeError from matrix_power.
+        ss = model.state_space(model.validate_params([0.55, 0.20]), model.History((1,)))
+        with pytest.raises(DomainError, match=match):
+            ss.probability_at(k)
+
     def test_transition_matrix_decays(self):
         rng = random.Random(41)
         for m in range(1, 6):
@@ -546,6 +602,11 @@ class TestEnumerationOracle:
         # It used to raise TypeError from np.arange.
         with pytest.raises(DomainError, match="horizon"):
             model.all_paths(n)
+
+    def test_bool_path_length_rejected(self):
+        # True used to give the two paths of length 1.
+        with pytest.raises(DomainError, match="horizon must be an integer"):
+            model.all_paths(True)
 
     def test_negative_path_length_rejected(self):
         # all_paths(-1) used to return one empty path, as all_paths(0) does.

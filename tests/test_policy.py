@@ -148,6 +148,12 @@ class TestKellyClassical:
             with pytest.raises(DomainError):
                 policy.kelly_classical(p)
 
+    @pytest.mark.parametrize("p", ["0.5", [0.5], True, 10**400], ids=["str", "list", "bool", "huge"])
+    def test_not_a_real_number_rejected(self, p):
+        # A string or a list used to raise TypeError from the comparison.
+        with pytest.raises(DomainError, match="head probability must be a real number"):
+            policy.kelly_classical(p)
+
 
 class TestKellyHorizon:
     def test_scenario_a(self):
@@ -222,6 +228,8 @@ class TestElgTimeInvariant:
     def test_domain(self):
         with pytest.raises(DomainError):
             policy.elg_time_invariant(SPEC_A2, 1.0)
+        with pytest.raises(DomainError, match="betting fraction must be a real number"):
+            policy.elg_time_invariant(SPEC_A2, "0.1")
 
     def test_matches_path_enumeration(self):
         rng = random.Random(71)
@@ -383,6 +391,18 @@ class TestPayoffModel:
         with pytest.raises(DomainError):
             policy.PayoffModel(outcomes=(math.inf, -1.0), frequencies=(0.5, 0.5))
 
+    def test_non_numbers_rejected(self):
+        # Strings used to raise TypeError from the finiteness check.
+        with pytest.raises(DomainError, match="outcomes must be a sequence of real numbers"):
+            policy.PayoffModel(("a", "b"), (0.5, 0.5))
+        with pytest.raises(DomainError, match="frequencies"):
+            policy.PayoffModel((1.0, -1.0), 0.5)
+
+    def test_values_stored_as_float_tuples(self):
+        payoff = policy.PayoffModel([1, -1], np.array([0.5, 0.5]))
+        assert payoff.outcomes == (1.0, -1.0) and payoff.frequencies == (0.5, 0.5)
+        assert hash(payoff) == hash(policy.PayoffModel((1.0, -1.0), (0.5, 0.5)))
+
 
 class TestElgMultiOutcome:
     def test_even_money_reduction(self):
@@ -410,6 +430,13 @@ class TestElgMultiOutcome:
         payoff = policy.PayoffModel(outcomes=(1.0, -1.0), frequencies=(0.7, 0.3))
         with pytest.raises(DomainError):
             policy.elg_multioutcome(payoff, 1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, "0.1", [0.1]], ids=["nan", "str", "list"])
+    def test_bad_fraction_rejected(self, k):
+        # NaN used to return NaN.
+        payoff = policy.PayoffModel(outcomes=(1.0, -1.0), frequencies=(0.7, 0.3))
+        with pytest.raises(DomainError, match="betting fraction"):
+            policy.elg_multioutcome(payoff, k)
 
     def test_zero_frequency_outcome_skipped(self):
         payoff = policy.PayoffModel(outcomes=(1.0, -1.0, -0.2), frequencies=(0.7, 0.3, 0.0))

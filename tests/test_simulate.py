@@ -174,6 +174,37 @@ class TestSimConfig:
         with pytest.raises(DomainError, match="path count"):
             simulate.sample_paths(SPEC_A2, 2.5, 1)
 
+    def test_bool_path_count_rejected(self):
+        # True used to run one path.
+        with pytest.raises(DomainError, match="path count must be an integer"):
+            simulate.SimConfig(spec=SPEC_A2, policies=(), paths=True)
+
+    def test_counts_stored_as_ints(self):
+        config = simulate.SimConfig(SPEC_A2, (), paths=np.int64(10), seed=np.uint64(2**64 - 1))
+        assert (type(config.paths), type(config.seed)) == (int, int)
+        assert config.seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda seed: simulate.sample_path(SPEC_A2, seed),
+            lambda seed: simulate.sample_paths(SPEC_A2, 3, seed),
+            lambda seed: simulate.SimConfig(SPEC_A2, (), paths=3, seed=seed),
+        ],
+        ids=["sample_path", "sample_paths", "SimConfig"],
+    )
+    @pytest.mark.parametrize(
+        "seed,match",
+        [(-1, "64 unsigned bits"), (2**64, "64 unsigned bits"), (1.5, "seed must be an integer"),
+         (True, "seed must be an integer")],
+        ids=["-1", "2**64", "1.5", "True"],
+    )
+    def test_every_sampler_checks_its_seed(self, sample, seed, match):
+        # sample_path and sample_paths used to raise ValueError on -1, and
+        # sample_path ran on 1.5.
+        with pytest.raises(DomainError, match=match):
+            sample(seed)
+
 
 @st.composite
 def quantile_samples(draw):
@@ -220,6 +251,19 @@ class TestMemoryBudget:
                 policies=(("k", policy.BettorPolicy.constant(0.1)),),
                 paths=10**6,
             )
+
+    @pytest.mark.parametrize("huge", [10**400, 2**2000], ids=["10**400", "2**2000"])
+    def test_count_too_large_for_a_float_rejected(self, huge):
+        # The budget message used to raise OverflowError converting the size.
+        with pytest.raises(DomainError, match="at least 2\\*\\*970 GiB, over the"):
+            simulate.check_budget(30, huge, 3)
+        with pytest.raises(DomainError, match=f"{huge} bets need at least 2\\*\\*970 GiB"):
+            model.prob_sequence(make_spec([0.55, 0.20], [1], n=huge))
+
+    def test_oversized_sample_path_rejected_before_allocating(self):
+        # It used to ask numpy for 8 bytes per stage.
+        with pytest.raises(DomainError, match="budget"):
+            simulate.sample_path(make_spec([0.55, 0.20], [1], n=2**40), 0)
 
     def test_oversized_sample_paths_rejected_before_allocating(self):
         spec = make_spec([0.55, 0.20], [1], n=10**6)

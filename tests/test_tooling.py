@@ -1,6 +1,7 @@
 """The test tooling itself: a failing test is reported and the run goes on,
-every span the benchmark requires names a function it can trace, and the
-README's library example runs."""
+every span the benchmark requires names a function it can trace, the
+README's library example runs, and the input-contract test covers every
+export."""
 
 import ast
 import importlib
@@ -86,3 +87,18 @@ def test_readme_library_example_states_what_it_computes():
     assert not fractions.flags.writeable
     assert elg_constant == pytest.approx(0.0823, abs=5e-5)
     assert elg_vector == pytest.approx(0.0883, abs=5e-5)
+
+
+def test_contract_table_names_every_public_callable():
+    # A new export fails here until test_contract.CALLS says how to call it.
+    import kelly_memory
+    from test_contract import CALLS
+
+    public = {
+        name
+        for name, value in vars(kelly_memory).items()
+        if callable(value)
+        and not name.startswith("_")
+        and not (isinstance(value, type) and issubclass(value, BaseException))
+    }
+    assert sorted(CALLS) == sorted(public)
