@@ -232,7 +232,7 @@ def cmd_simulate(args) -> str:
     else:
         # Before standard_policies allocates the p_k array; SimConfig
         # checks again with the final policy count.
-        simulate.check_budget(spec.n, args.paths, policies=3)
+        simulate.check_budget(spec.n, args.paths, constants=2, vectors=1)
         policies = simulate.standard_policies(spec)
     config = simulate.SimConfig(
         spec=spec,

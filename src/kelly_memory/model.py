@@ -77,15 +77,27 @@ def require_real(value, what: str) -> float:
     raise DomainError(f"{what} must be a real number, got {reprlib.repr(value)}")
 
 
+def holds_bool(values) -> bool:
+    """Whether ``values``, a flat sequence that is not an ndarray, holds a bool.
+
+    numpy reads [100.0, True] as [100.0, 1.0], so the entries are looked
+    at before it coerces them: a bool, a numpy bool or a 0-d bool array.
+    An ndarray is not scanned: its dtype says whether it holds bools.
+    """
+    return not isinstance(values, np.ndarray) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
+    )
+
+
 def require_reals(values, what: str) -> np.ndarray:
     """``values`` as a float64 vector, or DomainError unless numpy reads it as
-    a flat array of ints or floats: not strings, bools alone, nested or
-    ragged sequences, or ints past 64 bits."""
+    a flat array of ints or floats: not strings, bools, nested or ragged
+    sequences, or ints past 64 bits."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nest of sequences
         array = np.asarray(None)
-    if array.ndim != 1 or array.dtype.kind not in "iuf":
+    if array.ndim != 1 or array.dtype.kind not in "iuf" or holds_bool(values):
         raise DomainError(f"{what} must be a sequence of real numbers, got {reprlib.repr(values)}")
     return array.astype(float, copy=False)
 

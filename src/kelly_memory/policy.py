@@ -54,7 +54,7 @@ class BettorPolicy:
             ks = np.array(self.fractions)
         except ValueError:  # a ragged nest of sequences
             ks = np.array(None)  # object dtype, so rejected below
-        if ks.dtype.kind not in "biuf":
+        if ks.dtype.kind not in "iuf" or ks.ndim == 1 and model.holds_bool(self.fractions):
             msg = f"betting fractions must be real numbers, got {reprlib.repr(self.fractions)}"
             raise DomainError(msg)
         if ks.ndim > 1:

@@ -2,17 +2,26 @@
 
 Outcome paths are sampled with the Philox counter-based generator, one
 model.transition_table lookup per step. Paths are processed in fixed
-blocks of ``BLOCK_PATHS``; block b draws its uniforms from
+blocks of ``BLOCK_PATHS``; block b draws its words from
 ``Philox(key=seed).jumped(b)``, so every block owns a disjoint,
-scheduling-independent slice of the stream. The blocks are spread over
-one worker thread per usable CPU, and each block writes its own rows of
-the per-path results, so a given (config, seed) pair reproduces
+scheduling-independent slice of the stream. A block draws its stream in
+pieces of ``PIECE_PATHS`` rows, each transposed to step-major order
+while it is still in cache, and compares the raw words against integer
+limits instead of converting them to uniforms. The blocks are spread
+over one worker thread per usable CPU, and each block writes its own
+rows of the per-path results, so a given (config, seed) pair reproduces
 bit-identical results at any thread count. A block is sampled as head
-flags, one row per step, and each policy's log growth is summed straight
-from them. Per-path statistics are reduced with numpy's pairwise
-summation over the whole run, keeping the reduction order fixed as well.
-The quantiles of the final values are exact: each is selected by one
-single-kth partition and interpolated as np.quantile does.
+flags, one row per step. A constant bettor's log growth depends only on
+the path's head count, so every constant bettor shares one per-path
+count array, in the narrowest unsigned type that holds n; a vector
+bettor's log growth is summed from the flags into its own array. The
+statistics then take the policies one at a time, through two reused
+path-sized buffers. Per-path statistics are reduced with numpy's
+pairwise summation over the whole run, keeping the reduction order fixed
+as well; mean and standard error take exactly the steps of np.mean and
+np.std(ddof=1). The quantiles of the final values are exact: each is
+selected by one single-kth partition and interpolated as np.quantile
+does.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .errors import DimensionMismatch, DomainError, NumericalError
 from .model import MEMORY_BUDGET, STAGE_BYTES
 
 BLOCK_PATHS = 8192
+# Rows of a block's stream drawn at a time; a piece of 1024 rows of n = 30
+# words (240 KiB) stays in cache while it is transposed.
+PIECE_PATHS = 1024
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -47,7 +59,6 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", require_seed(self.seed))
         object.__setattr__(self, "paths", model.require_integer(self.paths, "path count"))
-        check_budget(self.spec.n, self.paths, len(self.policies))
         for name, pol in self.policies:
             if not isinstance(pol, policy_mod.BettorPolicy):
                 raise DomainError(f"policy {name!r} is not a BettorPolicy, got {pol!r}")
@@ -56,6 +67,8 @@ class SimConfig:
                 raise DimensionMismatch(
                     f"policy {name!r} has length {ks.size}, horizon is {self.spec.n}"
                 )
+        vectors = sum(pol.fractions.ndim for _, pol in self.policies)
+        check_budget(self.spec.n, self.paths, len(self.policies) - vectors, vectors)
 
 
 @dataclass(frozen=True)
@@ -94,12 +107,12 @@ def _usable_cpus() -> int:
 def _worker_bytes(rows: int, n: int) -> int:
     """One sampling worker's buffers, for blocks of ``rows`` paths of ``n`` steps.
 
-    Per block cell 17: the uniforms (8), their transposed copy (8) and the
-    head flags (1). Per row 64: the state, the thresholds and the vector
-    bettors' index and term (8 each), and up to four temporaries of the
-    constant bettors' sums.
+    Per block cell 9: the raw words in step-major order (8) and the head
+    flags (1). Per cell of one piece, of at most PIECE_PATHS rows, 8: the
+    words as drawn. Per row 32: the state, the limits and the vector
+    bettors' index and term (8 each).
     """
-    return 17 * rows * n + 64 * rows
+    return 9 * rows * n + 8 * min(rows, PIECE_PATHS) * n + 32 * rows
 
 
 def _workers(n: int, paths: int, per_path: int, held: int) -> int:
@@ -123,16 +136,22 @@ def _workers(n: int, paths: int, per_path: int, held: int) -> int:
     return min(_usable_cpus(), blocks, 1 + (MEMORY_BUDGET - need) // worker)
 
 
-def check_budget(n: int, paths: int, policies: int) -> int:
+def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
     """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
 
-    The byte count is an upper estimate: STAGE_BYTES per stage, the
-    analytic layer's bound, which covers the p_k pass and the vector
-    bettor's fractions; one sampling worker's buffers; and per path 8 for
-    each policy's growth array, the statistics' scratch array and
-    np.std's temporary. Returns the number of worker threads the run uses.
+    The run has ``constants`` constant and ``vectors`` vector bettors. The
+    byte count is an upper estimate: STAGE_BYTES per stage, the analytic
+    layer's bound, which covers the p_k pass and the vector bettors'
+    fractions; one sampling worker's buffers; and per path 8 for each
+    vector bettor's growth array, the width of the head count once if any
+    bettor is constant, and 16 for the two statistics buffers. The three
+    standard bettors at n <= 255 hold 25 bytes per path. Returns the
+    number of worker threads the run uses.
     """
-    return _workers(n, paths, 8 * (policies + 2), STAGE_BYTES * n)
+    per_path = 8 * vectors + 16
+    if constants:
+        per_path += np.min_scalar_type(n).itemsize
+    return _workers(n, paths, per_path, STAGE_BYTES * n)
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -147,28 +166,42 @@ def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
     return np.where(heads, 1, -1)
 
 
-def _blocks(table, state0, n, rows, seed, jobs):
+def _limits(table: np.ndarray) -> np.ndarray:
+    """Integer limits on raw Philox words: a head is a word below its state's limit.
+
+    Generator.random turns the word r into u = (r >> 11) 2^-53, and
+    u < t exactly when the integer r >> 11 is below ceil(t 2^53), which
+    is when r is below ceil(t 2^53) << 11. Scaling by 2^53 and ceil are
+    exact, and the hyperdiamond keeps every table entry inside (0, 1), so
+    the limit fits in 64 bits.
+    """
+    return np.ceil(table * 2.0**53).astype(np.uint64) << np.uint64(11)
+
+
+def _blocks(limits, state0, n, rows, seed, jobs):
     """Yield (heads, start, stop) for each (block, start, stop) job, in order.
 
     ``heads`` holds the block's head flags, one row per step; it is
     overwritten by the next block. The buffers live as long as the
     generator, and only numpy runs here.
     """
-    u = np.empty((rows, n))
-    ut = np.empty((n, rows))
+    words = np.empty((n, rows), dtype=np.uint64)
     heads = np.empty((n, rows), dtype=bool)
     state = np.empty(rows, dtype=np.intp)
-    threshold = np.empty(rows)
-    mask = table.size - 1
+    limit = np.empty(rows, dtype=np.uint64)
+    mask = limits.size - 1
     for b, start, stop in jobs:
         r = stop - start
-        np.random.Generator(np.random.Philox(key=seed).jumped(b)).random(out=u[:r])
-        np.copyto(ut[:, :r], u[:r].T)
-        s, t, h = state[:r], threshold[:r], heads[:, :r]
+        # One stream per block; consecutive draws continue it, row by row.
+        bits = np.random.Philox(key=seed).jumped(b)
+        for i in range(0, r, PIECE_PATHS):
+            j = min(i + PIECE_PATHS, r)
+            np.copyto(words[:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
+        s, t, h = state[:r], limit[:r], heads[:, :r]
         s.fill(state0)
         for k in range(n):
-            np.take(table, s, out=t, mode="clip")  # "raise" would buffer the output
-            np.less(ut[k, :r], t, out=h[k])
+            np.take(limits, s, out=t, mode="clip")  # "raise" would buffer the output
+            np.less(words[k, :r], t, out=h[k])
             np.left_shift(s, 1, out=s)
             np.bitwise_or(s, h[k], out=s)
             np.bitwise_and(s, mask, out=s)
@@ -185,12 +218,12 @@ def _run_blocks(spec: model.GameSpec, paths: int, seed: int, workers: int, work)
     # Imported here, so the CLI's start-up does not pay about 8 ms for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    table = model.transition_table(spec.params)
+    limits = _limits(model.transition_table(spec.params))
     jobs = [
         (b, start, min(start + BLOCK_PATHS, paths))
         for b, start in enumerate(range(0, paths, BLOCK_PATHS))
     ]
-    args = (table, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed)
+    args = (limits, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed)
     with ThreadPoolExecutor(workers) as pool:
         futures = [
             pool.submit(lambda own: work(_blocks(*args, own)), jobs[w::workers])
@@ -259,31 +292,27 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     percent quantiles of the final account value.
     """
     spec, m_paths, n = config.spec, config.paths, config.spec.n
-    workers = check_budget(n, m_paths, len(config.policies))
+    vectors = [pol.fractions for _, pol in config.policies if pol.fractions.ndim]
+    constants = len(config.policies) - len(vectors)
+    workers = check_budget(n, m_paths, constants, len(vectors))
     rows = min(m_paths, BLOCK_PATHS)
-    growth = [np.empty(m_paths) for _ in config.policies]
-    constant, vector = [], []
-    for log_vn, (_, pol) in zip(growth, config.policies):
-        ks = pol.fractions
-        if ks.ndim:
-            # Per stage, the log growth after a tail and after a head.
-            logs = [np.array([math.log1p(-k), math.log1p(k)]) for k in ks.tolist()]
-            vector.append((log_vn, logs))
-        else:
-            k = float(ks)
-            constant.append((log_vn, math.log1p(k), math.log1p(-k)))
+    # Each path's head count, which a constant bettor's log growth depends
+    # on alone, and each vector bettor's log growth.
+    count = np.empty(m_paths, dtype=np.min_scalar_type(n)) if constants else None
+    growth = [np.empty(m_paths) for _ in vectors]
+    # Per stage, the log growth after a tail and after a head.
+    luts = [[np.array([math.log1p(-k), math.log1p(k)]) for k in ks.tolist()] for ks in vectors]
 
     def log_growth(blocks):
-        # log(V_n / V_0) of each path: a constant bettor's from its head
-        # count, a vector bettor's summed stage by stage from the left.
+        # A vector bettor's log(V_n / V_0) is summed stage by stage from the left.
         index, term = np.empty(rows, dtype=np.intp), np.empty(rows)
         for heads, start, stop in blocks:
-            if constant:
-                count = heads.sum(axis=0)
-                for out, up, down in constant:
-                    out[start:stop] = count * up + (n - count) * down
+            if count is not None:
+                np.add.reduce(
+                    heads.view(np.uint8), axis=0, dtype=count.dtype, out=count[start:stop]
+                )
             i, t = index[: stop - start], term[: stop - start]
-            for out, logs in vector:
+            for out, logs in zip(growth, luts):
                 total = out[start:stop]
                 total.fill(0.0)
                 for h, lut in zip(heads, logs):
@@ -292,27 +321,40 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
 
     _run_blocks(spec, m_paths, config.seed, workers, log_growth)
 
-    # One scratch array holds each policy's g and then its final values, so
-    # the statistics allocate nothing path-sized beyond np.std's temporary.
-    scratch = np.empty(m_paths)
+    # Two buffers serve every policy in turn. ``work`` takes a constant
+    # bettor's log growth, count log1p(k) + (n - count) log1p(-k), with
+    # ``finals`` holding the second term; ``finals`` then takes the final
+    # values. The log growth is turned in
+    # place into g = log_vn / n and its squared deviations: the steps of
+    # np.mean and np.std(ddof=1), without np.std's path-sized temporary.
+    finals, work = np.empty(m_paths), np.empty(m_paths)
+    vector_growth = iter(growth)
     stats = []
-    for log_vn, (name, pol) in zip(growth, config.policies):
-        g = np.divide(log_vn, n, out=scratch)
-        mean = float(np.mean(g))
-        if m_paths > 1:
-            std_error = float(np.std(g, ddof=1) / math.sqrt(m_paths))
+    for name, pol in config.policies:
+        if pol.fractions.ndim:
+            log_vn = next(vector_growth)
         else:
-            std_error = 0.0
+            k = float(pol.fractions)
+            log_vn = np.multiply(count, math.log1p(k), out=work)
+            tails = np.subtract(n, count, out=finals, dtype=float)
+            log_vn += np.multiply(tails, math.log1p(-k), out=tails)
         with np.errstate(over="ignore"):
-            finals = np.exp(log_vn, out=scratch)
+            np.exp(log_vn, out=finals)
         if finals.max() == math.inf:
             raise NumericalError(
                 f"final account value of policy {name!r} overflows, so it is not finite"
             )
+        g = np.divide(log_vn, n, out=log_vn)
+        mean = np.add.reduce(g) / m_paths
+        std_error = 0.0
+        if m_paths > 1:
+            np.subtract(g, mean, out=g)
+            variance = np.add.reduce(np.multiply(g, g, out=g)) / (m_paths - 1)
+            std_error = float(np.sqrt(variance) / math.sqrt(m_paths))
         stats.append(
             PolicyStats(
                 name=name,
-                mean_log_growth=mean,
+                mean_log_growth=float(mean),
                 std_error=std_error,
                 analytic_elg=policy_mod.elg(spec, pol),
                 final_value_quantiles=_quantiles(finals),

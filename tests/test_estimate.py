@@ -73,11 +73,14 @@ class TestIngestPrices:
             estimate.ingest_prices([1, 2], tie_rule="flip")
 
     @pytest.mark.parametrize(
-        "prices", [np.ones((3, 2)), [[100.0, 101.0]], ["100", "101"], [True, True]],
-        ids=["2-D", "nested", "strings", "bool"],
+        "prices",
+        [np.ones((3, 2)), [[100.0, 101.0]], ["100", "101"], [True, True], [100.0, True],
+         [100, np.bool_(True)]],
+        ids=["2-D", "nested", "strings", "bool", "float-bool", "int-numpy-bool"],
     )
     def test_not_a_vector_of_numbers_rejected(self, prices):
-        # A 2-D array used to be accepted, moves taken along its rows.
+        # A 2-D array used to be accepted, moves taken along its rows, and
+        # [100.0, True] was read as the prices 100.0 and 1.0.
         with pytest.raises(DomainError, match="prices must be a sequence of real numbers"):
             estimate.ingest_prices(prices)
 

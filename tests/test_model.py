@@ -62,13 +62,25 @@ class TestValidateParams:
 
     @pytest.mark.parametrize(
         "omega",
-        [["a", 0.1], [0.5, [0.1]], [[0.5, 0.1]], 0.5, [True, False], [0.5, 10**400]],
-        ids=["str", "ragged", "2-D", "scalar", "bool", "huge"],
+        [["a", 0.1], [0.5, [0.1]], [[0.5, 0.1]], 0.5, [True, False], [0.5, 10**400],
+         [0.5, True], (0.5, np.bool_(False)), [0.5, np.array(True)], np.array([True, False])],
+        ids=["str", "ragged", "2-D", "scalar", "bool", "huge", "float-bool", "float-numpy-bool",
+             "float-0d-bool", "bool-array"],
     )
     def test_not_a_vector_of_numbers_rejected(self, omega):
-        # ["a", 0.1] used to raise ValueError, and 0.5 TypeError.
+        # ["a", 0.1] used to raise ValueError, and 0.5 TypeError. [0.5, True]
+        # used to be read as [0.5, 1.0].
         with pytest.raises(DomainError, match="omega must be a sequence of real numbers"):
             model.validate_params(omega)
+
+    def test_require_reals_does_not_scan_an_array(self):
+        # The dtype of an ndarray already says whether it holds bools.
+        class Unscanned(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("the entries were scanned one by one")
+
+        values = np.array([0.5, 1.0]).view(Unscanned)
+        assert model.require_reals(values, "x").tolist() == [0.5, 1.0]
 
     def test_omega_stored_as_a_float_tuple(self):
         params = model.MemoryParams(np.array([0.55, 0.2]))

@@ -135,6 +135,27 @@ class TestBettorPolicy:
             assert ks.ndim == 1
 
 
+    @pytest.mark.parametrize(
+        "make,arg",
+        [
+            (policy.BettorPolicy, False),
+            (policy.BettorPolicy.constant, True),
+            (policy.BettorPolicy.constant, np.bool_(False)),
+            (policy.BettorPolicy, np.array([True])),
+            (policy.BettorPolicy.varying, [0.1, True]),
+            (policy.BettorPolicy.varying, (0.1, np.bool_(False))),
+            (policy.BettorPolicy.varying, [0.1, np.array(False)]),
+        ],
+        ids=["bool", "constant-bool", "numpy-bool", "bool-array", "float-bool",
+             "float-numpy-bool", "float-0d-bool"],
+    )
+    def test_bools_rejected(self, make, arg):
+        # A False used to be read as the fraction 0.0, and a True was
+        # rejected only as the fraction 1.0, outside (-1, 1).
+        with pytest.raises(DomainError, match="betting fractions must be real numbers"):
+            make(arg)
+
+
 class TestKellyClassical:
     def test_reference_values(self):
         assert policy.kelly_classical(0.35 / 0.6) == pytest.approx(0.16667, abs=1e-5)

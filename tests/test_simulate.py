@@ -5,10 +5,11 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bruteforce
 from strategies import valid_games
@@ -241,7 +242,8 @@ class TestMemoryBudget:
         [(30, 1_000_000, 3), (2, 1_000_000, 3), (20_000, 10, 1), (100_000, 1, 3)],
     )
     def test_benchmark_and_test_sizes_accepted(self, n, paths, policies):
-        simulate.check_budget(n, paths, policies)
+        # Vector bettors hold the most per path.
+        simulate.check_budget(n, paths, constants=0, vectors=policies)
 
     def test_oversized_request_rejected_before_allocating(self):
         spec = make_spec([0.55, 0.20], [1], n=10**9)
@@ -256,7 +258,7 @@ class TestMemoryBudget:
     def test_count_too_large_for_a_float_rejected(self, huge):
         # The budget message used to raise OverflowError converting the size.
         with pytest.raises(DomainError, match="at least 2\\*\\*970 GiB, over the"):
-            simulate.check_budget(30, huge, 3)
+            simulate.check_budget(30, huge, constants=2, vectors=1)
         with pytest.raises(DomainError, match=f"{huge} bets need at least 2\\*\\*970 GiB"):
             model.prob_sequence(make_spec([0.55, 0.20], [1], n=huge))
 
@@ -278,18 +280,54 @@ class TestMemoryBudget:
         )
         expected = bruteforce.monte_carlo_elg(config)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-        assert simulate.check_budget(spec.n, paths, 3) == 3
+        assert simulate.check_budget(spec.n, paths, 2, 1) == 3
         worker = simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
-        one = simulate.STAGE_BYTES * spec.n + 8 * (3 + 2) * paths + worker
+        # Per path: kvec's growth, the two constants' shared head count and
+        # the two statistics buffers.
+        per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize + 16
+        one = simulate.STAGE_BYTES * spec.n + per_path * paths + worker
         for budget, workers in ((one + 2 * worker, 3), (one + worker, 2), (one, 1)):
             monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
-            assert simulate.check_budget(spec.n, paths, 3) == workers
+            assert simulate.check_budget(spec.n, paths, 2, 1) == workers
             with block_samplers() as threads:
                 assert simulate.monte_carlo_elg(config) == expected
             assert len(threads) == workers
         monkeypatch.setattr(simulate, "MEMORY_BUDGET", one - 1)
         with pytest.raises(DomainError, match="budget"):
-            simulate.check_budget(spec.n, paths, 3)
+            simulate.check_budget(spec.n, paths, 2, 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
+    @pytest.mark.parametrize(
+        "n,paths",
+        [(30, 2 * simulate.BLOCK_PATHS + 3), (2, 200_000)],
+        ids=["block-bound", "path-bound"],
+    )
+    def test_traced_peak_within_the_charge(self, n, paths, kinds, workers, monkeypatch):
+        # check_budget charges what monte_carlo_elg holds: the run at n = 30
+        # is mostly its workers' buffers, the one at n = 2 mostly per-path
+        # arrays.
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
+        constant, vector = policy.BettorPolicy.constant(0.1), policy.kelly_timevarying(spec)
+        pair = {"constant": (constant,) * 2, "vector": (vector,) * 2, "mixed": (constant, vector)}
+        policies = tuple((f"p{i}", pol) for i, pol in enumerate(pair[kinds]))
+        config = simulate.SimConfig(spec=spec, policies=policies, paths=paths, seed=3)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+        simulate.monte_carlo_elg(config)  # first-call costs: lazy imports, caches
+        tracemalloc.start()
+        try:
+            simulate.monte_carlo_elg(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        vectors = sum(pol.fractions.ndim for _, pol in policies)
+        per_path = 8 * vectors + 16
+        if vectors < len(policies):
+            per_path += np.min_scalar_type(n).itemsize
+        worker = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)
+        charge = simulate.STAGE_BYTES * n + per_path * paths + workers * worker
+        assert simulate.check_budget(n, paths, len(policies) - vectors, vectors) == workers
+        assert peak <= charge
 
 
 @contextlib.contextmanager
@@ -390,6 +428,70 @@ class TestBlockParallel:
         names = {name for name, _ in callers}
         assert {"monte_carlo_elg", "sample_paths", "transition_table"} <= names
         assert all(thread is threading.main_thread() for _, thread in callers)
+
+
+@st.composite
+def thresholds(draw):
+    """Head probabilities t in (0, 1): any, an exact multiple of 2^-53, or a
+    neighbour of one."""
+    exact = draw(st.integers(1, 2**53 - 1)) * 2.0**-53
+    near = st.sampled_from((exact, np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)))
+    t = draw(st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), near))
+    assume(0.0 < t < 1.0)
+    return float(t)
+
+
+class TestRawWordLimits:
+    @given(t=thresholds(), data=st.data())
+    def test_word_below_the_limit_exactly_when_its_uniform_is_below_t(self, t, data):
+        limit = simulate._limits(np.array([t]))
+        edge = int(limit[0])
+        r = data.draw(
+            st.one_of(
+                st.integers(0, 2**64 - 1),
+                st.sampled_from((edge, edge - 1)),
+                st.integers(max(edge - 2**12, 0), min(edge + 2**12, 2**64 - 1)),
+            )
+        )
+        u = (r >> 11) * 2.0**-53  # exact: an integer below 2^53 times a power of 2
+        assert bool(np.less(np.array([r], dtype=np.uint64), limit)[0]) == (u < t)
+
+    @given(seed=st.integers(0, 2**64 - 1), block=st.integers(0, 3))
+    def test_generator_random_is_the_raw_word_scaled(self, seed, block):
+        # The limits stand for Generator.random's uniforms only if it makes
+        # u = (r >> 11) 2^-53 of one raw word r per draw.
+        raw = np.random.Philox(key=seed).jumped(block).random_raw(64)
+        u = np.random.Generator(np.random.Philox(key=seed).jumped(block)).random(64)
+        assert np.array_equal(u, (raw >> np.uint64(11)) * 2.0**-53)
+
+
+class TestHeadCountWidth:
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
+    def test_equal_to_block_loop_across_the_count_width(self, n, kinds, monkeypatch):
+        # The head count is uint8 up to n = 255 and uint16 from 256. Small
+        # blocks and pieces give three blocks, split over 1 to 3 workers,
+        # with partial pieces, from few paths. k = 0 bets log1p(-0.0) = -0.0.
+        monkeypatch.setattr(simulate, "BLOCK_PATHS", 100)
+        monkeypatch.setattr(simulate, "PIECE_PATHS", 32)
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
+        constants = (policy.BettorPolicy.constant(0.0), policy.BettorPolicy.constant(-0.3))
+        vectors = (
+            policy.BettorPolicy.varying(np.linspace(-0.5, 0.5, n)),
+            policy.BettorPolicy.varying(np.zeros(n)),
+        )
+        chosen = {"constant": constants, "vector": vectors, "mixed": constants + vectors}[kinds]
+        config = simulate.SimConfig(
+            spec=spec,
+            policies=tuple((f"p{i}", pol) for i, pol in enumerate(chosen)),
+            paths=250,
+            seed=n,
+        )
+        assert np.min_scalar_type(n).itemsize == (1 if n < 256 else 2)
+        expected = bruteforce.monte_carlo_elg(config)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+            assert simulate.monte_carlo_elg(config) == expected
 
 
 class TestMonteCarloElg:
@@ -495,6 +597,17 @@ class TestMonteCarloElg:
             paths=10,
         )
         with pytest.raises(NumericalError, match="overflows"):
+            simulate.monte_carlo_elg(config)
+
+    def test_first_overflowing_policy_named(self):
+        spec = make_spec([0.9, 0.0], [1], n=20_000)
+        constant = policy.BettorPolicy.constant
+        config = simulate.SimConfig(
+            spec=spec,
+            policies=(("flat", constant(0.0)), ("a", constant(0.98)), ("b", constant(0.99))),
+            paths=10,
+        )
+        with pytest.raises(NumericalError, match="policy 'a' overflows"):
             simulate.monte_carlo_elg(config)
 
     def test_policies_sharing_a_name_keep_their_own_growth(self):
