@@ -40,7 +40,7 @@ from .errors import (
     NonConvergence,
     SingularDesign,
 )
-from .model import DIAMOND_RADIUS, require_integer, require_real, require_reals
+from .model import DIAMOND_RADIUS, as_numbers, require_integer, require_real, require_reals
 
 # Relative eigenvalue cutoff (smallest over largest eigenvalue of X'X, the
 # squared singular-value ratio of X) below which the normal system is
@@ -56,8 +56,9 @@ _POWER_ITERATIONS = 50
 class ObservationSet:
     """Chronological +1/-1 outcomes paired with the model depth to fit.
 
-    ``data`` may be any sequence or array; it is stored as a read-only
-    int64 copy, and ``m`` as an int.
+    ``data`` may be any flat sequence or array of the numbers +1 and -1,
+    read by ``model.as_numbers``, so a bool among them is rejected; it is
+    stored as a read-only int64 copy, and ``m`` as an int.
     """
 
     data: np.ndarray
@@ -68,13 +69,10 @@ class ObservationSet:
         if m < 1:
             raise DimensionMismatch(f"model depth must be >= 1, got {m}")
         object.__setattr__(self, "m", m)
-        try:
-            data = np.array(self.data)
-        except ValueError:  # a ragged nest of sequences
-            data = np.array(None)
-        if data.dtype.kind not in "iuf" or data.ndim != 1 or not np.all(abs(data) == 1):
+        data = as_numbers(self.data)
+        if data is None or data.ndim != 1 or not np.all(abs(data) == 1):
             raise DomainError("observations must be +1/-1")
-        data = data.astype(np.int64, copy=False)
+        data = data.astype(np.int64)  # the one copy, which the caller cannot change
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         if len(self.data) < self.m + 1:
@@ -230,11 +228,8 @@ def _power_lmax(gram: np.ndarray) -> float:
     v = np.ones(gram.shape[0])
     v /= np.linalg.norm(v)
     for _ in range(_POWER_ITERATIONS):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
+        v = gram @ v
+        v /= np.linalg.norm(v)
     return float(v @ gram @ v)
 
 

@@ -77,27 +77,32 @@ def require_real(value, what: str) -> float:
     raise DomainError(f"{what} must be a real number, got {reprlib.repr(value)}")
 
 
-def holds_bool(values) -> bool:
-    """Whether ``values``, a flat sequence that is not an ndarray, holds a bool.
+def as_numbers(values) -> np.ndarray | None:
+    """``values`` as numpy reads it, or None unless that is an array of ints or floats.
 
-    numpy reads [100.0, True] as [100.0, 1.0], so the entries are looked
-    at before it coerces them: a bool, a numpy bool or a 0-d bool array.
-    An ndarray is not scanned: its dtype says whether it holds bools.
+    The one reader of a caller's list of numbers. numpy reads [0.5, True]
+    as [0.5, 1.0], so a flat sequence (an ndarray's dtype says it all) is
+    scanned for a bool, a numpy bool or a 0-d bool array. The array may
+    share memory with ``values``.
     """
-    return not isinstance(values, np.ndarray) and any(
-        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
-    )
-
-
-def require_reals(values, what: str) -> np.ndarray:
-    """``values`` as a float64 vector, or DomainError unless numpy reads it as
-    a flat array of ints or floats: not strings, bools, nested or ragged
-    sequences, or ints past 64 bits."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nest of sequences
-        array = np.asarray(None)
-    if array.ndim != 1 or array.dtype.kind not in "iuf" or holds_bool(values):
+        return None
+    scan = array.ndim == 1 and not isinstance(values, np.ndarray)
+    if array.dtype.kind not in "iuf" or scan and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
+    ):
+        return None
+    return array
+
+
+def require_reals(values, what: str) -> np.ndarray:
+    """``values`` as a float64 vector, or DomainError unless ``as_numbers``
+    reads it as a flat array: not strings, bools (one in a list of numbers
+    included), nested or ragged sequences, or ints past 64 bits."""
+    array = as_numbers(values)
+    if array is None or array.ndim != 1:
         raise DomainError(f"{what} must be a sequence of real numbers, got {reprlib.repr(values)}")
     return array.astype(float, copy=False)
 

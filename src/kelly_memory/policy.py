@@ -50,18 +50,15 @@ class BettorPolicy:
     fractions: np.ndarray
 
     def __post_init__(self):
-        try:
-            ks = np.array(self.fractions)
-        except ValueError:  # a ragged nest of sequences
-            ks = np.array(None)  # object dtype, so rejected below
-        if ks.dtype.kind not in "iuf" or ks.ndim == 1 and model.holds_bool(self.fractions):
+        ks = model.as_numbers(self.fractions)
+        if ks is None:
             msg = f"betting fractions must be real numbers, got {reprlib.repr(self.fractions)}"
             raise DomainError(msg)
         if ks.ndim > 1:
             raise DimensionMismatch(f"policy holds one fraction or a vector, got shape {ks.shape}")
         if ks.size == 0:
             raise DimensionMismatch("policy needs at least one fraction")
-        ks = ks.astype(float, copy=False)
+        ks = ks.astype(float)  # the one copy, which the caller cannot change
         # NaN fails the comparison, so it is outside too.
         outside = np.flatnonzero(~(np.abs(ks) < 1.0))
         if outside.size:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ _QUANTILES = (0.05, 0.5, 0.95)
 class SimConfig:
     """A simulation run: game, named policies (a name is only a label), path count, seed.
 
-    The path count and the seed are stored as ints.
+    ``policies`` holds (name, BettorPolicy) pairs and is stored as a tuple
+    of pairs; the path count and the seed are stored as ints.
     """
 
     spec: model.GameSpec
@@ -59,7 +61,13 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "seed", require_seed(self.seed))
         object.__setattr__(self, "paths", model.require_integer(self.paths, "path count"))
-        for name, pol in self.policies:
+        try:
+            pairs = tuple((name, pol) for name, pol in self.policies)
+        except (TypeError, ValueError):  # not iterable, or an entry that is not a pair
+            msg = f"policies must be (name, BettorPolicy) pairs, got {reprlib.repr(self.policies)}"
+            raise DomainError(msg) from None
+        object.__setattr__(self, "policies", pairs)
+        for name, pol in pairs:
             if not isinstance(pol, policy_mod.BettorPolicy):
                 raise DomainError(f"policy {name!r} is not a BettorPolicy, got {pol!r}")
             ks = pol.fractions

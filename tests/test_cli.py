@@ -515,6 +515,21 @@ class TestOutputFiles:
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_naming_a_directory(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "kept.txt").write_text("kept")
+        code, out, err = run(
+            capsys,
+            "kelly", "--omega", "0.55,0.20", "--history", "+1", "--n", "2",
+            "--out", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert [p.name for p in target.iterdir()] == ["kept.txt"]
+        assert (target / "kept.txt").read_text() == "kept"
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -626,6 +641,20 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "omega" in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--omega", "0.55,x", "--history", "+1"),
+             "--omega expects a comma-separated list of numbers"),
+            (("--omega", "0.55,0.2", "--history", ","), "--history needs at least one token"),
+        ],
+        ids=["omega-not-a-number", "history-empty"],
+    )
+    def test_unreadable_game_flag(self, capsys, flags, message):
+        code, out, err = run(capsys, "kelly", "--n", "2", *flags)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     @pytest.mark.parametrize(

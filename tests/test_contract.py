@@ -9,7 +9,11 @@ SimConfig) is a record built by its own constructor, which has its own
 entry, so junk reaches it there. Every other argument is drawn from valid
 values and from junk: NaN, +-inf, -0.0, bools, numpy scalars, huge and
 negative ints, strings and wrong shapes. Counts stay small or far over
-the memory budget, so no call allocates much.
+the memory budget, so no call allocates much. SimConfig's policies are
+drawn as (name, BettorPolicy) pairs, malformed entries or junk.
+
+NUMBER_LISTS names each export that takes a list of numbers: a valid list
+with one entry swapped for a bool must be rejected, not read as 1 or 0.
 """
 
 import dataclasses
@@ -109,6 +113,13 @@ def bettor_policy(draw):
     return make(draw(arg(st.one_of(FRACTION, st.lists(FRACTION, min_size=1, max_size=4)))))
 
 
+def sim_config(draw):
+    pol = draw(policies(1))
+    malformed = st.sampled_from(((pol,), ("k",), (("k", pol, 1),), "ab", (("k", 0.3),)))
+    named = draw(arg(st.one_of(st.just((("k", pol),)), malformed)))
+    return km.SimConfig(draw(specs()), named, draw(arg(PATHS)), draw(arg(SEED)))
+
+
 def state_space_values(draw):
     p = draw(params())
     ss = km.state_space(p, draw(histories(p.m)))
@@ -159,9 +170,7 @@ CALLS = {
         d(arg(OMEGA)), d(arg(st.floats(0.01, 1.0)))
     ),
     # simulate
-    "SimConfig": lambda d: km.SimConfig(
-        d(specs()), (("k", d(policies(1))),), d(arg(PATHS)), d(arg(SEED))
-    ),
+    "SimConfig": sim_config,
     "SimResult": None,
     "monte_carlo_elg": lambda d: km.monte_carlo_elg(d(configs())),
     "sample_path": lambda d: km.sample_path(d(specs()), d(arg(SEED))),
@@ -196,3 +205,53 @@ def test_every_export_returns_finite_values_or_a_package_error(name, data):
     except km.KellyMemoryError:
         return
     assert finite(result), result
+
+
+BOOLS = st.sampled_from((True, False, np.True_, np.array(True)))
+
+# Each export that takes a list of numbers: a valid list, the call on a
+# list and the message that rejects a list holding a bool.
+NUMBER_LISTS = {
+    "MemoryParams": (OMEGA, km.MemoryParams, "omega must be a sequence of real numbers"),
+    "validate_params": (OMEGA, km.validate_params, "omega must be a sequence of real numbers"),
+    "PayoffModel.outcomes": (
+        PAYOFFS, lambda v: km.PayoffModel(v, [1 / len(v)] * len(v)),
+        "outcomes must be a sequence of real numbers",
+    ),
+    "PayoffModel.frequencies": (
+        FREQUENCIES, lambda v: km.PayoffModel([1.0, -1.0, 2.0, 0.5][: len(v)], v),
+        "frequencies must be a sequence of real numbers",
+    ),
+    "ingest_prices": (
+        st.lists(st.floats(0.5, 200.0), min_size=1, max_size=30), km.ingest_prices,
+        "prices must be a sequence of real numbers",
+    ),
+    "project_hyperdiamond": (
+        OMEGA, lambda v: km.project_hyperdiamond(v, 0.5), "omega must be a sequence of real numbers"
+    ),
+    "BettorPolicy": (
+        st.lists(FRACTION, min_size=1, max_size=8), km.BettorPolicy,
+        "betting fractions must be real numbers",
+    ),
+    "BettorPolicy.varying": (
+        st.lists(FRACTION, min_size=1, max_size=8), km.BettorPolicy.varying,
+        "betting fractions must be real numbers",
+    ),
+    "ObservationSet": (
+        st.lists(SIGNS, min_size=2, max_size=20), lambda v: km.ObservationSet(v, 1),
+        "observations must be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_LISTS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_bool_in_a_list_of_numbers_is_rejected(name, data):
+    # numpy reads [0.5, True] as [0.5, 1.0]; every list is read by one rule,
+    # which looks at the entries first.
+    valid, call, message = NUMBER_LISTS[name]
+    values = data.draw(valid)
+    values[data.draw(st.integers(0, len(values) - 1))] = data.draw(BOOLS)
+    with pytest.raises(km.DomainError, match=message):
+        call(values)

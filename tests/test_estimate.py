@@ -117,6 +117,26 @@ class TestObservationSet:
         with pytest.raises(DomainError, match="observations must be"):
             estimate.ObservationSet(data=data, m=1)
 
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "flag", [True, np.True_, np.array(True)], ids=["bool", "numpy-bool", "0d-bool"]
+    )
+    def test_bools_rejected(self, flag, at):
+        # numpy read [1, -1, True, 1] as [1, -1, 1, 1], so a True was a head.
+        data = [1, -1, 1, -1, 1]
+        data[at] = flag
+        with pytest.raises(DomainError, match="observations must be"):
+            estimate.ObservationSet(data=data, m=1)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.int8])
+    def test_an_array_is_held_as_a_read_only_int64_copy(self, dtype):
+        data = np.array([1, -1, 1, 1], dtype=dtype)
+        obs = estimate.ObservationSet(data=data, m=1)
+        assert obs.data.dtype == np.int64 and not obs.data.flags.writeable
+        assert data.flags.writeable
+        data[0] = -1
+        assert obs.data.tolist() == [1, -1, 1, 1]
+
 
 class TestBuildRegression:
     def test_hand_example(self):

@@ -412,6 +412,10 @@ class TestPayoffModel:
         with pytest.raises(DomainError):
             policy.PayoffModel(outcomes=(math.inf, -1.0), frequencies=(0.5, 0.5))
 
+    def test_outcomes_and_frequencies_differ_in_length(self):
+        with pytest.raises(DimensionMismatch, match="differ in length"):
+            policy.PayoffModel((1, -1, 2), (0.5, 0.5))
+
     def test_non_numbers_rejected(self):
         # Strings used to raise TypeError from the finiteness check.
         with pytest.raises(DomainError, match="outcomes must be a sequence of real numbers"):

@@ -26,6 +26,7 @@ def make_spec(omega, history, n):
 
 
 SPEC_A2 = make_spec([0.55, 0.20], [1], n=2)
+CONSTANT_01 = policy.BettorPolicy.constant(0.1)
 
 
 def random_spec(rng, m, n):
@@ -164,6 +165,21 @@ class TestSimConfig:
         # It used to raise AttributeError on .fractions.
         with pytest.raises(DomainError, match="policy 'k' is not a BettorPolicy"):
             simulate.SimConfig(spec=SPEC_A2, policies=(("k", bad),), paths=10)
+
+    @pytest.mark.parametrize(
+        "policies",
+        [(CONSTANT_01,), None, ("k",), (("k", CONSTANT_01, 1),), "ab", 3],
+        ids=["bare-policy", "None", "bare-name", "triple", "str", "int"],
+    )
+    def test_policies_that_are_not_pairs_rejected(self, policies):
+        # A bare policy, None and 3 used to raise TypeError, the others ValueError.
+        with pytest.raises(DomainError, match=r"policies must be \(name, BettorPolicy\) pairs"):
+            simulate.SimConfig(spec=SPEC_A2, policies=policies, paths=10)
+
+    def test_policies_stored_as_a_tuple_of_pairs(self):
+        pairs = iter([["k", CONSTANT_01]])
+        config = simulate.SimConfig(spec=SPEC_A2, policies=pairs, paths=10)
+        assert config.policies == (("k", CONSTANT_01),)
 
     @pytest.mark.parametrize("paths", [1.5, 2.0])
     def test_non_integral_path_count_rejected(self, paths):
