@@ -40,7 +40,14 @@ from .errors import (
     NonConvergence,
     SingularDesign,
 )
-from .model import DIAMOND_RADIUS, as_numbers, require_integer, require_real, require_reals
+from .model import (
+    DIAMOND_RADIUS,
+    as_numbers,
+    diamond_distance,
+    require_integer,
+    require_real,
+    require_reals,
+)
 
 # Relative eigenvalue cutoff (smallest over largest eigenvalue of X'X, the
 # squared singular-value ratio of X) below which the normal system is
@@ -49,6 +56,10 @@ _SINGULAR_RTOL = 1e-10
 
 _PG_TOL = 1e-10
 _PG_MAX_ITER = 10_000
+# Rounding can leave a projection a few ulps outside its target radius; the
+# fit's last point is projected again onto a target one ulp smaller, at most
+# this many times, until diamond_distance accepts it.
+_NUDGE_MAX = 64
 _POWER_ITERATIONS = 50
 
 
@@ -188,15 +199,17 @@ def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResu
 def constrained_fit(obs: ObservationSet) -> FitResult:
     """Least squares restricted to the (shrunk) hyperdiamond.
 
-    Returns the plain OLS estimate when it is already feasible. Otherwise
-    runs projected gradient descent from the projected OLS point until the
-    step-to-step change drops below 1e-10; raises NonConvergence if 10^4
-    iterations do not get there.
+    Returns the plain OLS estimate when the model's own test,
+    ``model.diamond_distance`` at most DIAMOND_RADIUS, accepts it.
+    Otherwise runs projected gradient descent from the projected OLS point
+    until the step-to-step change drops below 1e-10; raises NonConvergence
+    if 10^4 iterations do not get there. Its last point is then projected
+    onto a target one ulp smaller until the same test accepts it, so the
+    estimate always passes ``validate_params``.
     """
     system = _normal_system(obs)
     ols = ols_fit(obs, system)
-    omega = np.asarray(ols.omega_hat)
-    if _diamond_distance(omega) <= DIAMOND_RADIUS:
+    if diamond_distance(ols.omega_hat) <= DIAMOND_RADIUS:
         return replace(ols, constrained=True)
 
     X, _, gram, xty = system
@@ -206,7 +219,7 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
     step = 1.0 / lipschitz
     xty = scale * xty
 
-    w = project_hyperdiamond(omega, DIAMOND_RADIUS)
+    w = project_hyperdiamond(ols.omega_hat, DIAMOND_RADIUS)
     for iteration in range(1, _PG_MAX_ITER + 1):
         grad = gram @ w - xty
         w_next = project_hyperdiamond(w - step * grad, DIAMOND_RADIUS)
@@ -216,11 +229,13 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
             break
     else:
         raise NonConvergence(f"projected gradient did not converge in {_PG_MAX_ITER} iterations")
+    radius = DIAMOND_RADIUS
+    for _ in range(_NUDGE_MAX):
+        if diamond_distance(w.tolist()) <= DIAMOND_RADIUS:
+            break
+        radius = math.nextafter(radius, 0.0)
+        w = project_hyperdiamond(w, radius)
     return _fit_result(system, w, True, iteration)
-
-
-def _diamond_distance(omega: np.ndarray) -> float:
-    return abs(omega[0] - 0.5) + float(np.sum(np.abs(omega[1:])))
 
 
 def _power_lmax(gram: np.ndarray) -> float:

@@ -120,6 +120,16 @@ def check_stages(n: int) -> None:
         raise budget_error(STAGE_BYTES * n, f"{n} bets")
 
 
+def diamond_distance(omega: Sequence[float]) -> float:
+    """Distance |w0 - 1/2| + sum |wi| from the hyperdiamond center, summed left to right.
+
+    The one distance of the hyperdiamond test: a point is valid when it is
+    at most DIAMOND_RADIUS. Callers pass Python floats, as MemoryParams
+    stores them, so that every caller rounds alike.
+    """
+    return abs(omega[0] - 0.5) + sum(abs(w) for w in omega[1:])
+
+
 @dataclass(frozen=True)
 class MemoryParams:
     """Coefficients (w0, ..., wm) of the conditional head probability; m = len(omega) - 1.
@@ -149,7 +159,7 @@ class MemoryParams:
     @property
     def l1_distance(self) -> float:
         """Distance |w0 - 1/2| + sum |wi| from the hyperdiamond center."""
-        return abs(self.omega[0] - 0.5) + sum(abs(w) for w in self.omega[1:])
+        return diamond_distance(self.omega)
 
     @property
     def margin(self) -> float:

@@ -15,6 +15,7 @@ from kelly_memory.errors import (
     DimensionMismatch,
     DomainError,
     EmptyResult,
+    HyperdiamondViolation,
     InputError,
     InsufficientData,
     NonConvergence,
@@ -203,6 +204,12 @@ class TestOlsFit:
         with pytest.raises(InsufficientData):
             estimate.ols_fit(estimate.ObservationSet(data=(1, -1, 1), m=1))
 
+    @pytest.mark.parametrize("data,m", [((1, -1, 1), 1), ((1, -1, 1, 1, -1), 2)])
+    def test_insufficient_rows_message(self, data, m):
+        match = f"need at least {2 * m + 2} observations at depth {m}, got {len(data)}"
+        with pytest.raises(InsufficientData, match=match):
+            estimate.ols_fit(estimate.ObservationSet(data=data, m=m))
+
     def test_residual_orthogonality(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -262,6 +269,57 @@ class TestConstrainedFit:
             assert fit.rss >= ols.rss - 1e-12
             dist = abs(fit.omega_hat[0] - 0.5) + sum(abs(w) for w in fit.omega_hat[1:])
             assert dist <= estimate.DIAMOND_RADIUS + 1e-12
+
+    def test_boundary_fit_passes_the_models_test(self):
+        # The projected point used to land outside the hyperdiamond by one
+        # ulp, 5.55112e-17, and validate_params rejected the estimate.
+        obs = estimate.ObservationSet(data=(1, -1, 1, -1, 1, 1, 1, -1), m=1)
+        fit = estimate.constrained_fit(obs)
+        assert fit.projected
+        assert model.validate_params(fit.omega_hat).margin >= 0.0
+        np.testing.assert_allclose(fit.omega_hat, [0.7, -0.3], rtol=0, atol=1e-8)
+
+    @settings(deadline=None, max_examples=150)
+    @given(m=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), n=st.integers(20, 3000),
+           raw=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=10, max_size=10),
+           shortfall=st.sampled_from((0.0, 1e-12, 1e-9, 1e-5)),
+           pattern=st.none() | st.lists(st.sampled_from((1, -1)), min_size=2, max_size=12))
+    def test_every_fit_passes_the_models_test(self, m, seed, n, raw, shortfall, pattern):
+        # Outcomes sampled from a game at or near the hyperdiamond's edge, or
+        # a repeated pattern such as +1 -1, whose OLS point may lie outside.
+        if pattern is None:
+            size = sum(abs(v) for v in raw[: m + 1])
+            assume(size > 0)
+            scale = (model.DIAMOND_RADIUS - shortfall) / size
+            omega = [0.5 + scale * raw[0]] + [scale * v for v in raw[1 : m + 1]]
+            try:
+                data = simulate_outcomes(omega, [1] * m, n, seed)
+            except HyperdiamondViolation:
+                assume(False)
+        else:
+            data = np.resize(pattern, n)
+        obs = estimate.ObservationSet(data=data, m=m)
+        try:
+            ols = estimate.ols_fit(obs)
+            fit = estimate.constrained_fit(obs)
+        except (InsufficientData, SingularDesign, NonConvergence):
+            return
+        model.validate_params(fit.omega_hat)
+        try:
+            model.validate_params(ols.omega_hat)
+        except HyperdiamondViolation:
+            assert fit.projected
+        else:
+            assert fit.iterations == 0 and fit.omega_hat == ols.omega_hat
+
+    def test_iteration_cap(self, monkeypatch):
+        # This fit converges at its fifth step, within a cap of 5 but not of 4.
+        obs = estimate.ObservationSet(data=(1, 1, 1, -1, 1, -1, 1, 1, -1), m=2)
+        monkeypatch.setattr(estimate, "_PG_MAX_ITER", 5)
+        assert estimate.constrained_fit(obs).iterations == 5
+        monkeypatch.setattr(estimate, "_PG_MAX_ITER", 4)
+        with pytest.raises(NonConvergence, match="did not converge in 4 iterations"):
+            estimate.constrained_fit(obs)
 
     def test_statistical_consistency(self):
         # Median recovery error over seeds should shrink as N grows.
@@ -358,6 +416,13 @@ class TestFileIO:
         f = tmp_path / "o.txt"
         f.write_text("+1\n-1\n\n1\n-1\n")
         np.testing.assert_array_equal(estimate.read_outcomes(f), [1, -1, 1, -1])
+
+    def test_two_numbers_per_line_rejected(self, tmp_path):
+        # numpy's reader reads two columns here; only one is an outcome file.
+        f = tmp_path / "o.txt"
+        f.write_text("1,-1\n-1,1\n")
+        with pytest.raises(InputError, match="o.txt:1: '1,-1' is not numeric"):
+            estimate.read_outcomes(f)
 
     def test_zero_one_lines(self, tmp_path):
         f = tmp_path / "o.txt"

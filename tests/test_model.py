@@ -56,6 +56,17 @@ class TestValidateParams:
             model.validate_params([0.2, 0.4])
         assert exc_info.value.excess == pytest.approx(0.2, abs=1e-8)
 
+    def test_on_the_unshrunk_edge_rejected(self):
+        # At distance exactly 1/2 a head follows a head with probability 1;
+        # that is past DIAMOND_RADIUS by EPS_MARGIN.
+        with pytest.raises(HyperdiamondViolation) as exc_info:
+            model.validate_params([0.75, 0.25])
+        assert exc_info.value.excess == pytest.approx(model.EPS_MARGIN, rel=1e-6)
+
+    def test_on_the_shrunk_edge_accepted(self):
+        params = model.validate_params([0.5, model.DIAMOND_RADIUS])
+        assert params.l1_distance == model.DIAMOND_RADIUS and params.margin == 0.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             model.validate_params([0.5])
@@ -229,6 +240,10 @@ class TestTransitionTable:
         with pytest.raises(UnsupportedDepth):
             model.transition_table(params)
 
+    def test_depth_at_the_cap_accepted(self):
+        params = model.validate_params([0.5] + [0.01] * model.MAX_TABLE_DEPTH)
+        assert model.transition_table(params).size == 2**model.MAX_TABLE_DEPTH
+
 
 class TestProbSequence:
     def test_scenario_a(self):
@@ -328,6 +343,10 @@ class TestClosedForm:
         assert model.closed_form_p_k(params, 0.75, 300) == pytest.approx(
             0.5833333333, abs=1e-9
         )
+
+    @pytest.mark.parametrize("p0", [0.0, 1.0])
+    def test_p0_on_the_closed_interval(self, p0):
+        assert model.closed_form_p_k(model.validate_params([0.55, 0.20]), p0, 0) == p0
 
     def test_rejects_deeper_memory(self):
         params = model.validate_params([0.55, 0.1, 0.1])
@@ -609,6 +628,13 @@ class TestEnumerationOracle:
         with pytest.raises(HorizonTooLarge):
             model.enumerate_expected_heads(spec)
 
+    def test_horizon_at_the_cap_accepted(self, monkeypatch):
+        # 2^20 paths of 20 steps take about 170 MB, so a smaller cap stands in.
+        monkeypatch.setattr(model, "MAX_ENUM_HORIZON", 3)
+        assert model.all_paths(3).shape == (8, 3)
+        with pytest.raises(HorizonTooLarge):
+            model.all_paths(4)
+
     @pytest.mark.parametrize("n", [2.5, 2.0, math.nan])
     def test_non_integral_path_length_rejected(self, n):
         # It used to raise TypeError from np.arange.
@@ -658,3 +684,13 @@ class TestEnumerationOracle:
             probs = model.path_probabilities(spec, model.all_paths(spec.n))
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs > 0)
+
+
+class TestBudgetError:
+    def test_size_in_gib(self):
+        assert str(model.budget_error(3 * 2**30, "x")) == "x need about 3 GiB, over the 2 GiB budget"
+
+    def test_size_past_floats_is_a_bound(self):
+        # From 2**1000 bytes on, the size in GiB is given as a bound.
+        assert "at least 2**970 GiB" in str(model.budget_error(2**1000, "x"))
+        assert "about 9.98e+291 GiB" in str(model.budget_error(2**1000 - 1, "x"))

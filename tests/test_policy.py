@@ -247,8 +247,9 @@ class TestElgTimeInvariant:
         assert policy.elg_time_invariant(SPEC_A2, 0.0) == 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            policy.elg_time_invariant(SPEC_A2, 1.0)
+        for k in (1.0, -1.0):  # -1.0 loses the whole stake on a head
+            with pytest.raises(DomainError):
+                policy.elg_time_invariant(SPEC_A2, k)
         with pytest.raises(DomainError, match="betting fraction must be a real number"):
             policy.elg_time_invariant(SPEC_A2, "0.1")
 

@@ -1,11 +1,12 @@
 """The test tooling itself: a failing test is reported and the run goes on,
 every span the benchmark requires names a function it can trace, the
-README's library example runs, and the input-contract test covers every
-export."""
+README's library example runs, the input-contract test covers every
+export, and the mutation sweep in tools/ runs."""
 
 import ast
 import importlib
 import inspect
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,50 @@ def test_contract_table_names_every_public_callable():
         and not (isinstance(value, type) and issubclass(value, BaseException))
     }
     assert sorted(CALLS) == sorted(public)
+
+
+TOY = """
+def scale(x):
+    if x < 0:
+        return 0
+    return x * 2
+
+
+def shift(x):
+    if x > 9:
+        return x
+    return x + 1
+"""
+
+TOY_TESTS = {
+    "test_toy.py": "import toy\n\ndef test_scale():\n    assert toy.scale(3) == 6\n",
+    "test_other.py": "import toy\n\ndef test_shift():\n    assert toy.shift(1) == 2\n",
+}
+
+
+def test_mutation_sweep_on_a_toy_module(tmp_path, monkeypatch):
+    # tools/mutants.py sits outside the suite; this keeps it from rotting.
+    # Of the toy's four mutants, x * 2 is killed by the module's own tests
+    # and x + 1 by the whole suite only. x < 0 -> x <= 0 is equivalent,
+    # since scale(0) is 0 either way, and x > 9 -> x >= 9 survives.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")  # the toy needs no plugin
+    mutants = importlib.import_module("mutants")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "toy.py").write_text(TOY)
+    (tmp_path / "tests").mkdir()
+    for name, text in TOY_TESTS.items():
+        (tmp_path / "tests" / name).write_text(text)
+    key = ("src/toy.py", "scale", "x < 0", "x <= 0")
+    monkeypatch.setitem(mutants.EQUIVALENT, key, "scale(0) is 0 on either branch")
+    out = io.StringIO()
+    assert mutants.main(["--root", str(tmp_path), "src/toy.py"], out) == 1
+    assert out.getvalue().splitlines() == [
+        "src/toy.py: 4 mutants",
+        "  equivalent 3: scale: x < 0 -> x <= 0: scale(0) is 0 on either branch",
+        "  killed (failed) 5: scale: x * 2 -> x / 2",
+        "  SURVIVED 9: shift: x > 9 -> x >= 9",
+        "  killed (failed by the full suite) 11: shift: x + 1 -> x - 1",
+        "1 survivors",
+    ]
+    assert (tmp_path / "src" / "toy.py").read_text() == TOY  # the checkout is never edited
