@@ -170,8 +170,9 @@ def _normal_system(obs: ObservationSet) -> _NormalSystem:
         )
     X, y = build_regression(obs)
     gram = X.T @ X
+    # gram[0, 0] is the row count, and the largest eigenvalue is at least that.
     eig = np.linalg.eigvalsh(gram)
-    if eig[-1] <= 0.0 or eig[0] / eig[-1] <= _SINGULAR_RTOL:
+    if eig[0] / eig[-1] <= _SINGULAR_RTOL:
         raise SingularDesign(
             "normal system is numerically singular (constant or collinear data)"
         )

@@ -82,14 +82,19 @@ def as_numbers(values) -> np.ndarray | None:
 
     The one reader of a caller's list of numbers. numpy reads [0.5, True]
     as [0.5, 1.0], so a flat sequence (an ndarray's dtype says it all) is
-    scanned for a bool, a numpy bool or a 0-d bool array. The array may
-    share memory with ``values``.
+    scanned for a bool, a numpy bool or a 0-d bool array, unless one
+    check of its entries' types finds only plain ints and floats. The
+    array may share memory with ``values``.
     """
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged nest of sequences
         return None
-    scan = array.ndim == 1 and not isinstance(values, np.ndarray)
+    scan = (
+        array.ndim == 1
+        and not isinstance(values, np.ndarray)
+        and not {int, float}.issuperset(map(type, values))
+    )
     if array.dtype.kind not in "iuf" or scan and any(
         isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values
     ):

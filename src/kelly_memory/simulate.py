@@ -15,13 +15,16 @@ flags, one row per step. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
 count array, in the narrowest unsigned type that holds n; a vector
 bettor's log growth is summed from the flags into its own array. The
-statistics then take the policies one at a time, through two reused
-path-sized buffers. Per-path statistics are reduced with numpy's
+statistics then take the policies one at a time, through one reused
+path-sized buffer. Per-path statistics are reduced with numpy's
 pairwise summation over the whole run, keeping the reduction order fixed
 as well; mean and standard error take exactly the steps of np.mean and
-np.std(ddof=1). The quantiles of the final values are exact: each is
-selected by one single-kth partition and interpolated as np.quantile
-does.
+np.std(ddof=1). The quantiles of the final values are exact and
+interpolated as np.quantile does. A vector bettor's are each selected by
+one single-kth partition. A constant bettor's final value takes only the
+n + 1 values of its head-count table, so its quantiles and its overflow
+check are read off the histogram of the head count, and its per-path log
+growth is gathered from the table.
 """
 
 from __future__ import annotations
@@ -152,11 +155,11 @@ def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
     layer's bound, which covers the p_k pass and the vector bettors'
     fractions; one sampling worker's buffers; and per path 8 for each
     vector bettor's growth array, the width of the head count once if any
-    bettor is constant, and 16 for the two statistics buffers. The three
-    standard bettors at n <= 255 hold 25 bytes per path. Returns the
+    bettor is constant, and 8 for the one statistics buffer. The three
+    standard bettors at n <= 255 hold 17 bytes per path. Returns the
     number of worker threads the run uses.
     """
-    per_path = 8 * vectors + 16
+    per_path = 8 * vectors + 8
     if constants:
         per_path += np.min_scalar_type(n).itemsize
     return _workers(n, paths, per_path, STAGE_BYTES * n)
@@ -261,6 +264,12 @@ def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     return x
 
 
+def _lerp(lower: float, upper: float, t: float) -> float:
+    """numpy's _lerp: from ``lower`` up below t = 0.5, from ``upper`` down from there."""
+    d = upper - lower
+    return lower + d * t if t < 0.5 else upper - d * (1 - t)
+
+
 def _quantiles(x: np.ndarray) -> tuple[float, ...]:
     """np.quantile(x, _QUANTILES) by one single-kth partition per quantile.
 
@@ -269,10 +278,10 @@ def _quantiles(x: np.ndarray) -> tuple[float, ...]:
     quantile down, each partition leaves the entries below its index in
     front of it, so the next one searches only those. A value interpolates
     between the order statistics j = floor((size - 1) q) and j + 1 with
-    numpy's _lerp arithmetic, so it equals np.quantile's bit for bit. The
-    one exception is the sign of a zero result when x holds both 0.0 and
-    -0.0: which of them a partition puts at an index is not fixed, by
-    either method. (Final account values are never -0.0.) Reorders x.
+    _lerp, so it equals np.quantile's bit for bit. The one exception is
+    the sign of a zero result when x holds both 0.0 and -0.0: which of
+    them a partition puts at an index is not fixed, by either method.
+    (Final account values are never -0.0.) Reorders x.
     """
     if x.size == 1:  # np.quantile's top clamp: every quantile is the one entry
         return (float(x[0]),) * len(_QUANTILES)
@@ -286,10 +295,33 @@ def _quantiles(x: np.ndarray) -> tuple[float, ...]:
             upper = float(x[j + 1 : hi].min())
         # otherwise j is the last step's index, and upper is still its neighbour
         hi = j + 1
-        lower, t = float(x[j]), v - j
-        d = upper - lower
-        values.append(lower + d * t if t < 0.5 else upper - d * (1 - t))
+        values.append(_lerp(float(x[j]), upper, v - j))
     return tuple(reversed(values))
+
+
+def _histogram_quantiles(values: np.ndarray, counts: np.ndarray) -> tuple[float, ...]:
+    """np.quantile(x, _QUANTILES) of the x holding counts[i] > 0 copies of values[i].
+
+    The values are sorted, not assumed monotone, so ties are fine; the
+    order statistics j and j + 1 are read off the cumulative counts and
+    interpolated with _lerp, as _quantiles does.
+    """
+    order = np.argsort(values)
+    values, ends = values[order], np.cumsum(counts[order])
+    size = int(ends[-1])
+    quantiles = []
+    for q in _QUANTILES:
+        v = (size - 1) * q
+        j = math.floor(v)
+        # At size 1, j + 1 is clamped to the one entry, as np.quantile does.
+        lower, upper = values[np.searchsorted(ends, (j, min(j + 1, size - 1)), side="right")]
+        quantiles.append(_lerp(float(lower), float(upper), v - j))
+    return tuple(quantiles)
+
+
+def _pieces(size: int):
+    """Slices of at most BLOCK_PATHS entries that cover range(size)."""
+    return (slice(i, i + BLOCK_PATHS) for i in range(0, size, BLOCK_PATHS))
 
 
 def monte_carlo_elg(config: SimConfig) -> SimResult:
@@ -329,26 +361,41 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
 
     _run_blocks(spec, m_paths, config.seed, workers, log_growth)
 
-    # Two buffers serve every policy in turn. ``work`` takes a constant
-    # bettor's log growth, count log1p(k) + (n - count) log1p(-k), with
-    # ``finals`` holding the second term; ``finals`` then takes the final
-    # values. The log growth is turned in
-    # place into g = log_vn / n and its squared deviations: the steps of
-    # np.mean and np.std(ddof=1), without np.std's path-sized temporary.
-    finals, work = np.empty(m_paths), np.empty(m_paths)
+    if constants:
+        # The head counts that occur, and how often; bincount and take read
+        # a uint8 or uint16 index as intp, so they take it a piece at a time.
+        histogram = np.zeros(n + 1, dtype=np.intp)
+        for piece in _pieces(m_paths):
+            histogram += np.bincount(count[piece], minlength=n + 1)
+        held = np.flatnonzero(histogram)
+        head_counts = np.arange(n + 1.0)
+    # One buffer serves every policy in turn: a vector bettor's final
+    # values, or a constant bettor's log growth gathered from its table.
+    # The log growth is turned in place into g = log_vn / n and its squared
+    # deviations: the steps of np.mean and np.std(ddof=1), without
+    # np.std's path-sized temporary.
+    work = np.empty(m_paths)
     vector_growth = iter(growth)
     stats = []
     for name, pol in config.policies:
         if pol.fractions.ndim:
             log_vn = next(vector_growth)
+            with np.errstate(over="ignore"):
+                finals = np.exp(log_vn, out=work)
+            top, quantiles = finals.max(), _quantiles(finals)
         else:
+            # The log growth after c heads, for every c, by the same steps
+            # as on one path: c log1p(k) + (n - c) log1p(-k).
             k = float(pol.fractions)
-            log_vn = np.multiply(count, math.log1p(k), out=work)
-            tails = np.subtract(n, count, out=finals, dtype=float)
-            log_vn += np.multiply(tails, math.log1p(-k), out=tails)
-        with np.errstate(over="ignore"):
-            np.exp(log_vn, out=finals)
-        if finals.max() == math.inf:
+            table = head_counts * math.log1p(k)
+            table += (n - head_counts) * math.log1p(-k)
+            with np.errstate(over="ignore"):
+                finals = np.exp(table[held])
+            top, quantiles = finals.max(), _histogram_quantiles(finals, histogram[held])
+            log_vn = work
+            for piece in _pieces(m_paths):
+                np.take(table, count[piece], out=log_vn[piece], mode="clip")
+        if top == math.inf:
             raise NumericalError(
                 f"final account value of policy {name!r} overflows, so it is not finite"
             )
@@ -365,7 +412,7 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
                 mean_log_growth=float(mean),
                 std_error=std_error,
                 analytic_elg=policy_mod.elg(spec, pol),
-                final_value_quantiles=_quantiles(finals),
+                final_value_quantiles=quantiles,
             )
         )
     return SimResult(stats=tuple(stats))

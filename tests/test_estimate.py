@@ -223,6 +223,16 @@ class TestOlsFit:
             resid = X.T @ (y - X @ np.asarray(fit.omega_hat))
             assert np.abs(resid).max() < 1e-8 * len(obs)
 
+    @given(
+        m=st.integers(1, 4),
+        data=st.lists(st.sampled_from((1, -1)), min_size=10, max_size=300),
+    )
+    def test_largest_eigenvalue_at_least_the_row_count(self, m, data):
+        # Every diagonal entry of X'X is the row count, since each column
+        # holds 1 or +-1, so the singular test never divides by zero.
+        X, _ = estimate.build_regression(estimate.ObservationSet(data=data, m=m))
+        assert np.linalg.eigvalsh(X.T @ X)[-1] >= X.shape[0]
+
 
 class TestConstrainedFit:
     def test_interior_ols_returned_unchanged(self):

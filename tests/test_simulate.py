@@ -61,6 +61,16 @@ class TestSamplePath:
         assert one.dtype == block.dtype
         np.testing.assert_array_equal(one, block)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_uniform_equal_to_the_head_probability_is_a_tail(self, seed):
+        # A head is u < p, strictly, in both samplers. The game's head
+        # probability is the stream's first uniform itself.
+        u = float(np.random.Generator(np.random.Philox(key=seed)).random())
+        spec = make_spec([u, 0.0], [1], n=1)
+        assert model.transition_table(spec.params).tolist() == [u, u]
+        assert simulate.sample_path(spec, seed).tolist() == [-1]
+        assert simulate.sample_paths(spec, 1, seed).tolist() == [[-1]]
+
     def test_near_degenerate_probability(self):
         spec = make_spec([0.99, 0.0], [1], n=2000)
         path = simulate.sample_path(spec, stream_seed=7)
@@ -251,6 +261,87 @@ class TestQuantiles:
         got = np.array(simulate._quantiles(x.copy())) + 0.0
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
+    @settings(deadline=None)
+    @given(x=quantile_samples(), data=st.data())
+    def test_histogram_selection_equal_to_np_quantile_of_the_repeated_values(self, x, data):
+        # Values in no order, ties among them, each held 1 to 3 times.
+        counts = np.array(data.draw(st.lists(st.integers(1, 3), min_size=x.size, max_size=x.size)))
+        expected = np.quantile(np.repeat(x, counts), simulate._QUANTILES) + 0.0
+        got = np.array(simulate._histogram_quantiles(x, counts)) + 0.0
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def hexed(stats):
+    """A PolicyStats' floats as hex strings, so that equal means bit-identical."""
+    return (
+        stats.name,
+        stats.mean_log_growth.hex(),
+        stats.std_error.hex(),
+        stats.analytic_elg.hex(),
+        tuple(q.hex() for q in stats.final_value_quantiles),
+    )
+
+
+# At k = +-0.999 a final value overflows after about 1,030 winning bets
+# and underflows to 0 after about 110 losing ones.
+CONSTANT_FRACTIONS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-17, -1e-17, 0.999, -0.999)),
+    st.floats(-0.999, 0.999, allow_subnormal=False),
+)
+
+
+class TestConstantBettorsFromTheHistogram:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        game=valid_games(max_depth=3),
+        n=st.one_of(st.sampled_from((1, 255, 256, 2000)), st.integers(1, 300)),
+        ks=st.lists(CONSTANT_FRACTIONS, min_size=1, max_size=3),
+        paths=st.sampled_from((1, 2, 63, 65, 130)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(  # about 1,980 heads of 2,000: every path overflows
+        game=(model.validate_params([0.99, 0.0]), model.History((1,))),
+        n=2000, ks=[0.0, 0.999], paths=65, seed=1,
+    )
+    @example(
+        game=(model.validate_params([0.6, 0.2]), model.History((-1,))),
+        n=256, ks=[0.0, 1e-17, -1e-17, -0.5], paths=1, seed=2,
+    )
+    def test_equal_to_per_path_exp_and_np_quantile(self, game, n, ks, paths, seed):
+        # The oracle takes each path's np.exp and np.quantile. Blocks of 64
+        # paths make 65 and 130 end in a partial block; n > 255 counts in
+        # uint16. A head count whose final value overflows raises only if a
+        # path has it.
+        spec = model.GameSpec(params=game[0], history=game[1], n=n)
+        config = simulate.SimConfig(
+            spec=spec,
+            policies=tuple((f"k{i}", policy.BettorPolicy.constant(k)) for i, k in enumerate(ks)),
+            paths=paths,
+            seed=seed,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "BLOCK_PATHS", 64)
+            try:
+                expected = bruteforce.monte_carlo_elg(config)
+            except NumericalError as err:
+                with pytest.raises(NumericalError, match="overflows") as got:
+                    simulate.monte_carlo_elg(config)
+                assert str(got.value).startswith(str(err))
+                return
+            got = simulate.monte_carlo_elg(config)
+        assert list(map(hexed, got.stats)) == list(map(hexed, expected.stats))
+
+    def test_overflowing_count_that_never_occurs_does_not_raise(self):
+        # Past 1,911 heads of 2,000 the final value at k = 0.999 overflows,
+        # but a fair coin shows about 1,000.
+        spec = make_spec([0.5, 0.0], [1], n=2000)
+        config = simulate.SimConfig(
+            spec=spec, policies=(("k", policy.BettorPolicy.constant(0.999)),), paths=1000, seed=2
+        )
+        assert 2000 * math.log1p(0.999) > math.log(sys.float_info.max)
+        stats = simulate.monte_carlo_elg(config).stats
+        assert list(map(hexed, stats)) == list(map(hexed, bruteforce.monte_carlo_elg(config).stats))
+
 
 class TestMemoryBudget:
     @pytest.mark.parametrize(
@@ -299,8 +390,8 @@ class TestMemoryBudget:
         assert simulate.check_budget(spec.n, paths, 2, 1) == 3
         worker = simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
         # Per path: kvec's growth, the two constants' shared head count and
-        # the two statistics buffers.
-        per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize + 16
+        # the one statistics buffer.
+        per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize + 8
         one = simulate.STAGE_BYTES * spec.n + per_path * paths + worker
         for budget, workers in ((one + 2 * worker, 3), (one + worker, 2), (one, 1)):
             monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
@@ -311,6 +402,19 @@ class TestMemoryBudget:
         monkeypatch.setattr(simulate, "MEMORY_BUDGET", one - 1)
         with pytest.raises(DomainError, match="budget"):
             simulate.check_budget(spec.n, paths, 2, 1)
+
+    def test_vector_bettors_charged_no_head_count(self, monkeypatch):
+        # Only constant bettors share the per-path head count: at a budget
+        # of 16 bytes per path, a lone vector bettor is accepted and run,
+        # and one more constant bettor, 17 bytes per path, is rejected.
+        spec, paths = make_spec([0.55, 0.20], [1], n=30), 1000
+        worker = simulate._worker_bytes(paths, spec.n)
+        budget = simulate.STAGE_BYTES * spec.n + 16 * paths + worker
+        monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
+        vector = ("v", policy.kelly_timevarying(spec))
+        simulate.monte_carlo_elg(simulate.SimConfig(spec=spec, policies=(vector,), paths=paths))
+        with pytest.raises(DomainError, match="budget"):
+            simulate.SimConfig(spec=spec, policies=(vector, ("k", CONSTANT_01)), paths=paths)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
@@ -337,7 +441,7 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         vectors = sum(pol.fractions.ndim for _, pol in policies)
-        per_path = 8 * vectors + 16
+        per_path = 8 * vectors + 8
         if vectors < len(policies):
             per_path += np.min_scalar_type(n).itemsize
         worker = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)

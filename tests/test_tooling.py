@@ -1,12 +1,14 @@
 """The test tooling itself: a failing test is reported and the run goes on,
 every span the benchmark requires names a function it can trace, the
-README's library example runs, the input-contract test covers every
-export, and the mutation sweep in tools/ runs."""
+README's library example runs and its bytes-per-path figure is the
+budget's charge, the input-contract test covers every export, and the
+mutation sweep in tools/ runs."""
 
 import ast
 import importlib
 import inspect
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +90,21 @@ def test_readme_library_example_states_what_it_computes():
     assert not fractions.flags.writeable
     assert elg_constant == pytest.approx(0.0823, abs=5e-5)
     assert elg_vector == pytest.approx(0.0883, abs=5e-5)
+
+
+def test_readme_bytes_per_path_is_the_budget_charge(monkeypatch):
+    # The README states in words what check_budget charges per path for
+    # the standard bettors (two constants, one vector); the two must agree.
+    from kelly_memory import simulate
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.findall(r"three standard bettors hold (\d+) bytes per path", text)
+    charged = []
+    monkeypatch.setattr(
+        simulate, "_workers", lambda n, paths, per_path, held: charged.append(per_path)
+    )
+    simulate.check_budget(255, 1, constants=2, vectors=1)
+    assert stated == [str(charged[0])]
 
 
 def test_contract_table_names_every_public_callable():

@@ -13,8 +13,8 @@ still passes is a survivor, unless EQUIVALENT lists it with the reason it
 cannot change what the module does beyond rounding.
 
 Not part of the test suite: model.py took 12 minutes and estimate.py 22,
-run side by side on two CPUs. Exits 1 when a survivor is not listed as
-equivalent.
+run side by side on two CPUs, and simulate.py 26 alone. Exits 1 when a
+survivor is not listed as equivalent.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ EQUIVALENT = {
         "768 * n is never 2**31, since 3 divides the one and not the other",
     ("src/kelly_memory/model.py", "state_space", "m > 1", "m >= 1"):
         "at m = 1 the slice A[:0, 1:] is empty, so the assignment does nothing",
-    ("src/kelly_memory/estimate.py", "_normal_system", "eig[-1] <= 0.0", "eig[-1] < 0.0"):
-        "X'X[0, 0] is the row count, so the largest eigenvalue is at least that, never 0",
     ("src/kelly_memory/estimate.py", "constrained_fit", "2.0 / X.shape[0]", "2.0 * X.shape[0]"):
         "gram, xty and 1/step all carry the scale, which cancels in step * grad up to rounding",
     ("src/kelly_memory/estimate.py", "_power_lmax",
