@@ -200,6 +200,14 @@ class TestOlsFit:
         with pytest.raises(SingularDesign):
             estimate.ols_fit(estimate.ObservationSet(data=(1,) * 50, m=1))
 
+    def test_collinear_data_singular_at_a_million_rows(self):
+        # At period 4, x_{t-3} is -x_{t-1}. The smallest eigenvalue is
+        # rounding, about 1e-11, and the largest about 2e6: the test is
+        # their ratio, not their product.
+        obs = estimate.ObservationSet(data=np.tile([1, 1, -1, -1], 250_000), m=3)
+        with pytest.raises(SingularDesign):
+            estimate.ols_fit(obs)
+
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientData):
             estimate.ols_fit(estimate.ObservationSet(data=(1, -1, 1), m=1))

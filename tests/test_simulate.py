@@ -379,6 +379,16 @@ class TestMemoryBudget:
         with pytest.raises(DomainError, match="budget"):
             simulate.sample_paths(spec, paths=10**6, seed=0)
 
+    def test_sample_paths_charged_for_its_array(self, monkeypatch):
+        # 8 bytes per outcome of the (paths, n) int64 array, and one worker.
+        spec, paths = make_spec([0.55, 0.20], [1], n=10), 1000
+        need = 8 * spec.n * paths + simulate._worker_bytes(paths, spec.n)
+        monkeypatch.setattr(simulate, "MEMORY_BUDGET", need)
+        assert simulate.sample_paths(spec, paths, seed=1).shape == (paths, spec.n)
+        monkeypatch.setattr(simulate, "MEMORY_BUDGET", need - 1)
+        with pytest.raises(DomainError, match="budget"):
+            simulate.sample_paths(spec, paths, seed=1)
+
     def test_workers_shrink_to_fit_the_budget(self, monkeypatch):
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=12)
         paths = 2 * simulate.BLOCK_PATHS + 3
