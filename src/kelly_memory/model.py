@@ -376,9 +376,30 @@ def lambda_n(params: MemoryParams, n: int) -> float:
     return (1.0 - _power(r, n, "n")) / (1.0 - r) / n
 
 
+def prefix_sums(values: np.ndarray) -> np.ndarray:
+    """Running sums [v_0, v_0 + v_1, ...] of a float vector, compensated.
+
+    Every horizon rule sums with it. Entry k reads values[:k+1] alone, so
+    a rule's horizon-n value is entry n - 1 of its all-horizons column,
+    bit for bit. TwoSum (Ogita, Rump and Oishi 2005) gives each np.cumsum
+    step's rounding error exactly; adding back their running sum makes
+    each entry as accurate as a sum in twice the precision, rounded once.
+    """
+    s = np.cumsum(values)
+    # s[k] = fl(s[k-1] + v[k]), and the exact error of that step is
+    # (s[k-1] - (s[k] - t)) + (v[k] - t), with t = s[k] - s[k-1].
+    t = s[1:] - s[:-1]
+    err = values[1:] - t
+    np.subtract(s[1:], t, out=t)
+    np.subtract(s[:-1], t, out=t)
+    err += t
+    s[1:] += np.cumsum(err, out=err)
+    return s
+
+
 def expected_heads(spec: GameSpec) -> float:
-    """Expected number of heads over the horizon, sum_k p_k."""
-    return float(spec.probs.sum())
+    """Expected number of heads over the horizon, sum_k p_k, from prefix_sums."""
+    return float(prefix_sums(spec.probs)[-1])
 
 
 def state_space(params: MemoryParams, history: History) -> StateSpace:

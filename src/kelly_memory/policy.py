@@ -7,8 +7,11 @@ of a constant fraction K is
     ELG(K) = h log(1 + K) + (1 - h) log(1 - K)
 
 maximized at K_n = 2h - 1. A pre-committed time-varying fraction vector is
-scored stage by stage against the unconditional head probabilities p_k and
-is maximized at 2 p_k - 1. A BettorPolicy holds either kind as one array,
+scored stage by stage by the same formula at the unconditional head
+probabilities p_k, and is maximized at 2 p_k - 1. Both rules are written
+once, in kelly_fraction and growth_rate, and every horizon's sum is
+model.prefix_sums, so simulate.scenario_table's row n is this module's
+horizon-n value bit for bit. A BettorPolicy holds either kind as one array,
 shape () for a constant and (n,) for a vector, and elg scores it by that
 shape. The multi-outcome variant weights log(1 + K x_i) by expected
 outcome frequencies and is maximized numerically.
@@ -119,27 +122,43 @@ class MultiOutcomeOptimum:
     unbounded: bool = False
 
 
+def kelly_fraction(h):
+    """The fraction 2h - 1 that maximizes growth_rate(h, k); elementwise on arrays."""
+    return 2.0 * h - 1.0
+
+
+def growth_rate(h, k):
+    """Expected log growth h log(1 + k) + (1 - h) log(1 - k) of one bet; elementwise.
+
+    The one ELG formula: at h = E(H_n)/n it is a constant fraction's ELG
+    over n bets, at h = p_k stage k's term. np.log1p gives the same bits
+    for a scalar and for any entry of an array, so the one-horizon value
+    and the all-horizons column agree; math.log1p would not.
+    """
+    return h * np.log1p(k) + (1.0 - h) * np.log1p(-k)
+
+
 def kelly_classical(p: float) -> float:
     """Memoryless even-money optimum K* = 2p - 1."""
     p = model.require_real(p, "head probability")
     if not 0.0 < p < 1.0:
         raise DomainError(f"head probability {p} outside (0, 1)")
-    return 2.0 * p - 1.0
+    return kelly_fraction(p)
 
 
 def kelly_horizon(spec: model.GameSpec) -> float:
     """Horizon-optimal constant fraction K_n = 2 E(H_n)/n - 1."""
-    return 2.0 * model.expected_heads(spec) / spec.n - 1.0
+    return kelly_fraction(model.expected_heads(spec) / spec.n)
 
 
 def kelly_limit(params: model.MemoryParams) -> float:
     """Long-run fraction 2 p_inf - 1, the limit of kelly_horizon."""
-    return 2.0 * model.steady_state(params) - 1.0
+    return kelly_fraction(model.steady_state(params))
 
 
 def kelly_timevarying(spec: model.GameSpec) -> BettorPolicy:
     """Per-stage optimal vector (2 p_0 - 1, ..., 2 p_{n-1} - 1)."""
-    return BettorPolicy.varying(2.0 * spec.probs - 1.0)
+    return BettorPolicy.varying(kelly_fraction(spec.probs))
 
 
 def elg_time_invariant(spec: model.GameSpec, k: float) -> float:
@@ -147,23 +166,21 @@ def elg_time_invariant(spec: model.GameSpec, k: float) -> float:
     k = model.require_real(k, "betting fraction")
     if not -1.0 < k < 1.0:
         raise DomainError(f"betting fraction {k} outside (-1, 1)")
-    h = model.expected_heads(spec) / spec.n
-    return h * math.log1p(k) + (1.0 - h) * math.log1p(-k)
+    return float(growth_rate(model.expected_heads(spec) / spec.n, k))
 
 
 def elg_time_varying(spec: model.GameSpec, policy: BettorPolicy) -> float:
     """Analytic ELG of a pre-committed fraction vector, in one O(n) pass.
 
-    The mean over stages of p_k log(1 + K_k) + (1 - p_k) log(1 - K_k),
-    evaluated on whole arrays over the game's one p_k sequence. A constant
-    policy broadcasts over the stages, so this agrees with
-    elg_time_invariant in that case, up to rounding.
+    The mean over stages of growth_rate(p_k, K_k), evaluated on whole
+    arrays over the game's one p_k sequence and summed by
+    model.prefix_sums. A constant policy broadcasts over the stages, so
+    this agrees with elg_time_invariant in that case, up to rounding.
     """
     ks = policy.fractions
     if ks.ndim and ks.size != spec.n:
         raise DimensionMismatch(f"policy length {ks.size} != horizon {spec.n}")
-    probs = spec.probs
-    return float(np.sum(probs * np.log1p(ks) + (1.0 - probs) * np.log1p(-ks))) / spec.n
+    return float(model.prefix_sums(growth_rate(spec.probs, ks))[-1]) / spec.n
 
 
 def elg(spec: model.GameSpec, policy: BettorPolicy) -> float:

@@ -340,8 +340,11 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     # on alone, and each vector bettor's log growth.
     count = np.empty(m_paths, dtype=np.min_scalar_type(n)) if constants else None
     growth = [np.empty(m_paths) for _ in vectors]
-    # Per stage, the log growth after a tail and after a head.
-    luts = [[np.array([math.log1p(-k), math.log1p(k)]) for k in ks.tolist()] for ks in vectors]
+    # Row k: the log growth at stage k after a tail and after a head.
+    luts = [
+        np.stack([np.fromiter(map(math.log1p, x.tolist()), float, n) for x in (-ks, ks)], axis=1)
+        for ks in vectors
+    ]
 
     def log_growth(blocks):
         # A vector bettor's log(V_n / V_0) is summed stage by stage from the left.
@@ -430,32 +433,23 @@ def standard_policies(
 
 
 def scenario_table(spec: model.GameSpec) -> dict[str, np.ndarray]:
-    """Analytic ELG of the three bettors for every horizon 1..spec.n, as columns.
+    """Analytic ELG of the three standard bettors for every horizon 1..spec.n, as columns.
 
     Returns equal-length arrays keyed n, elg_kstar, elg_kn, elg_kvec, kstar
-    and kn, one entry per horizon.
-
-    The long-run bettor ignores temporal correlation and always bets
-    2 p_inf - 1; the other two use the horizon-optimal constant fraction
-    and the per-stage optimal vector. p_k does not depend on the horizon,
-    so the whole table is the game's one p_k pass (spec.probs) plus prefix
-    sums, O(n): with h_n = (p_0 + ... + p_{n-1})/n, K_n = 2 h_n - 1, a
-    constant K earns h_n log(1 + K) + (1 - h_n) log(1 - K), and the vector
-    bettor earns the running mean of p_k log(2 p_k) + (1 - p_k) log(2 (1 - p_k)).
+    and kn. Row n holds the horizon-n game's kelly_horizon and its
+    elg_time_invariant and elg_time_varying values, bit for bit: the
+    columns apply the policy rules to model.prefix_sums over the game's
+    one p_k pass, O(n) in all.
     """
-    kstar = policy_mod.kelly_limit(spec.params)
-    p = spec.probs
-    horizons = np.arange(1, spec.n + 1)
-    h = np.cumsum(p) / horizons
-    kn = 2.0 * h - 1.0
-    elg_kstar = h * math.log1p(kstar) + (1.0 - h) * math.log1p(-kstar)
-    elg_kn = h * np.log1p(kn) + (1.0 - h) * np.log1p(-kn)
-    stage_kvec = p * np.log1p(2.0 * p - 1.0) + (1.0 - p) * np.log1p(1.0 - 2.0 * p)
+    p, horizons = spec.probs, np.arange(1, spec.n + 1)
+    h = model.prefix_sums(p) / horizons
+    kstar, kn = policy_mod.kelly_limit(spec.params), policy_mod.kelly_fraction(h)
+    stages = policy_mod.growth_rate(p, policy_mod.kelly_fraction(p))
     return {
         "n": horizons,
-        "elg_kstar": elg_kstar,
-        "elg_kn": elg_kn,
-        "elg_kvec": np.cumsum(stage_kvec) / horizons,
+        "elg_kstar": policy_mod.growth_rate(h, kstar),
+        "elg_kn": policy_mod.growth_rate(h, kn),
+        "elg_kvec": model.prefix_sums(stages) / horizons,
         "kstar": np.full(spec.n, kstar),
         "kn": kn,
     }

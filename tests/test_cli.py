@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import cli, model
@@ -182,6 +182,36 @@ class TestScenario:
         for row in rows:
             assert row["elg_kstar"] <= row["elg_kn"] + 1e-9
             assert row["elg_kn"] <= row["elg_kvec"] + 1e-9
+
+    @settings(deadline=None, max_examples=80)
+    @given(game=valid_games(), n=st.integers(1, 1000))
+    @example(game=(model.MemoryParams((0.54, 0.07, 0.01, -0.01)), model.History((1, -1, -1))), n=116)
+    @example(game=(model.MemoryParams((0.55, -0.03)), model.History((-1,))), n=82)
+    def test_last_row_prints_what_kelly_and_simulate_print(self, game, n):
+        # Row n of the table is the horizon-n game, so its K_n and ELG texts
+        # are those of kelly and of simulate's analytic column. The examples
+        # once printed kn ...5936 against ...5937, and elg_kstar
+        # 0.00452808439399 against 0.004528084394.
+        params, history = game
+        assume(params.m in (1, 2, 3, 6))
+        flags = [
+            "--omega=" + ",".join(map(repr, params.omega)),
+            "--history=" + ",".join("+1" if v == 1 else "-1" for v in history.values),
+            f"--n={n}",
+            "--format=json",
+        ]
+
+        def printed(*argv):
+            code, out, err = run_on_file([*argv, *flags], "")
+            assert (code, err) == (0, "")
+            return json.loads(out, parse_float=str)  # the texts as printed
+
+        row = printed("scenario")["rows"][-1]
+        assert printed("kelly")["kn"] == row["kn"]
+        if n <= 200:
+            policies = printed("simulate", "--paths=1", "--seed=0")["policies"]
+            analytic = [policy["analytic_elg"] for policy in policies]
+            assert analytic == [row["elg_kstar"], row["elg_kn"], row["elg_kvec"]]
 
 
 GAME = ("--omega", "0.55,0.20", "--history", "+1")

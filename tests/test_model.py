@@ -525,6 +525,41 @@ class TestExpectedHeads:
             blended = spec.n * (lam * p0 + (1 - lam) * p_inf)
             assert model.expected_heads(spec) == pytest.approx(blended, abs=1e-12)
 
+    @settings(deadline=None, max_examples=40)
+    @given(game=valid_games(), n=st.integers(1, 100_000))
+    def test_within_two_ulp_of_the_exact_sum(self, game, n):
+        # A plain left-to-right cumsum is off by thousands of ulps at
+        # n = 1e5, which moves the 12th digit of K_n.
+        spec = model.GameSpec(*game, n=n)
+        exact = math.fsum(spec.probs.tolist())
+        assert abs(model.expected_heads(spec) - exact) <= 2 * math.ulp(exact)
+
+    def test_within_two_ulp_of_the_exact_sum_at_a_million(self):
+        spec = make_spec([0.55, 0.15, -0.1, 0.12], [1, -1, 1], n=10**6)
+        exact = math.fsum(spec.probs.tolist())
+        assert abs(model.expected_heads(spec) - exact) <= 2 * math.ulp(exact)
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300),
+        cut=st.integers(1, 300),
+    )
+    def test_prefix_sum_entry_reads_its_prefix_alone(self, values, cut):
+        # Row n of scenario_table equals the horizon-n game only because of this.
+        whole = model.prefix_sums(np.array(values))
+        part = model.prefix_sums(np.array(values[:cut]))
+        assert part.tolist() == whole[:cut].tolist()
+        assert all(
+            abs(s - math.fsum(values[: k + 1])) <= 2 * math.ulp(s) for k, s in enumerate(whole)
+        )
+
+    def test_prefix_sums_exact_when_each_term_outgrows_the_sum(self):
+        # Here each step's rounding error also sits in the running sum's
+        # low bits, the half of TwoSum that sums of p_k hardly reach.
+        values = [0.1 * 3.0**k for k in range(40)]
+        exact = [math.fsum(values[: k + 1]) for k in range(40)]
+        assert model.prefix_sums(np.array(values)).tolist() == exact
+
 
 class TestStateSpace:
     def test_depth3_structure(self):

@@ -490,6 +490,21 @@ class TestOptimizeMultiOutcome:
             0.25, abs=1e-10
         )
 
+    def test_zero_frequency_outcome_at_its_barrier_is_skipped(self):
+        # 1 + K x is exactly 0 for the third outcome at the search's shrunk
+        # left end; with no weight it must not enter the derivative as 0/0.
+        payoff = policy.PayoffModel((1.0, -1.0, 1.000000000001), (0.6, 0.4, 0.0))
+        assert policy.optimize_multioutcome(payoff).fraction == pytest.approx(0.2, abs=1e-10)
+
+    @pytest.mark.parametrize("end", [-1.0, 1.0], ids=["left", "right"])
+    def test_derivative_exactly_zero_at_an_end_returns_that_end(self, end):
+        # This frequency makes the derivative at the shrunk end exactly 0.0,
+        # so no fraction inside the interval grows faster.
+        rare = 4.999889391399392e-13
+        frequencies = (1.0 - rare, rare) if end > 0 else (rare, 1.0 - rare)
+        best = policy.optimize_multioutcome(policy.PayoffModel((1.0, -1.0), frequencies))
+        assert best.fraction == end * (1.0 - policy._EDGE_SHRINK) and not best.unbounded
+
     def test_unbounded_when_single_signed(self):
         payoff = policy.PayoffModel(outcomes=(1.0, -1.0), frequencies=(1.0, 0.0))
         best = policy.optimize_multioutcome(payoff)

@@ -782,7 +782,7 @@ class TestScenarioTable:
                 kn,
             )
             got = tuple(row[key] for key in ("elg_kstar", "elg_kn", "elg_kvec", "kstar", "kn"))
-            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+            assert got == expected
             assert row["elg_kvec"] >= row["elg_kn"] - 1e-12
             assert row["elg_kn"] >= row["elg_kstar"] - 1e-12
 

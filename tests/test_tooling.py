@@ -122,6 +122,18 @@ def test_contract_table_names_every_public_callable():
     assert sorted(CALLS) == sorted(public)
 
 
+def test_every_equivalent_mutant_is_a_mutant_of_its_module(monkeypatch):
+    # An entry whose expression a refactor removed or renumbered would no
+    # longer match, and the sweep would count that mutant as a survivor.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    mutants = importlib.import_module("mutants")
+    found = set()
+    for module in {key[0] for key in mutants.EQUIVALENT}:
+        tree = ast.parse((ROOT / module).read_text())
+        found.update(key for key, _, _ in mutants.keyed(module, tree))
+    assert sorted(set(mutants.EQUIVALENT) - found) == []
+
+
 TOY = """
 def scale(x):
     if x < 0:

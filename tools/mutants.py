@@ -12,9 +12,9 @@ mutant that passes those meets the whole suite under tests/. A mutant that
 still passes is a survivor, unless EQUIVALENT lists it with the reason it
 cannot change what the module does beyond rounding.
 
-Not part of the test suite: model.py took 12 minutes and estimate.py 22,
-run side by side on two CPUs, and simulate.py 26 alone. Exits 1 when a
-survivor is not listed as equivalent.
+Not part of the test suite: on two CPUs, simulate.py took about 23
+minutes, and policy.py and model.py 29 together beside it; estimate.py
+took 22. Exits 1 when a survivor is not listed as equivalent.
 """
 
 from __future__ import annotations
@@ -37,15 +37,17 @@ SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
 }
 SUBSET = ("test_acceptance.py", "test_contract.py")
+# This test checks EQUIVALENT against the module's source, so it fails on
+# every listed mutant; the full-suite runs leave it out.
+CHECKS_EQUIVALENT = "test_tooling.py::test_every_equivalent_mutant_is_a_mutant_of_its_module"
 IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".perfbench_work"
 )
 # A mutant may turn a bounded request into an unbounded one.
 MEMORY_LIMIT = 3 * 2**30
 
-# (module, enclosing function, expression, mutated expression): why the
-# mutant behaves as the module does. The function's name gets "#2", "#3", ...
-# for the second and later mutants of the same expression in it.
+# A mutant's key, as ``keyed`` makes it: why the mutant behaves as the
+# module does.
 EQUIVALENT = {
     ("src/kelly_memory/model.py", "check_stages",
      "STAGE_BYTES * n > MEMORY_BUDGET", "STAGE_BYTES * n >= MEMORY_BUDGET"):
@@ -63,6 +65,17 @@ EQUIVALENT = {
      "u * ranks > css - radius", "u * ranks >= css - radius"):
         "at a tie u[r] * (r + 1) == css[r] - radius, ranks r and r - 1 give the same theta"
         " up to rounding",
+    ("src/kelly_memory/policy.py", "PayoffModel.__post_init__",
+     "abs(sum(self.frequencies) - 1.0) > 1e-12", "abs(sum(self.frequencies) - 1.0) >= 1e-12"):
+        "a sum within 1e-12 of 1 differs from 1 by a multiple of 2**-53, which 1e-12 is not",
+    ("src/kelly_memory/policy.py", "optimize_multioutcome",
+     "_elg_derivative(payoff, mid) > 0.0", "_elg_derivative(payoff, mid) >= 0.0"):
+        "at a zero of the derivative mid is the maximizer, and either half keeps it, so the"
+        " result is still within _SEARCH_TOL of it",
+    ("src/kelly_memory/policy.py", "optimize_multioutcome",
+     "hi - lo < _SEARCH_TOL", "hi - lo <= _SEARCH_TOL"):
+        "stopping at a width of exactly _SEARCH_TOL, one halving early, still returns a"
+        " point within _SEARCH_TOL of the maximizer",
 }
 
 
@@ -104,6 +117,22 @@ def mutant(tree: ast.Module, node, index, new) -> tuple[str, str, str]:
         _swap(node, index, old)
 
 
+def keyed(module: str, tree: ast.Module):
+    """(key, line, mutated module source) for every mutant of ``module``, parsed as ``tree``.
+
+    The key is EQUIVALENT's (module, function, expression, mutated
+    expression), with "#2", "#3", ... on the function's name for the
+    second and later mutants of the same expression in it.
+    """
+    seen = Counter()
+    for node, index, new, qualname in mutants(tree):
+        before, after, text = mutant(tree, node, index, new)
+        seen[qualname, before, after] += 1
+        if seen[qualname, before, after] > 1:
+            qualname += f"#{seen[qualname, before, after]}"
+        yield (module, qualname, before, after), node.lineno, text
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
@@ -130,6 +159,7 @@ def sweep(copy: Path, module: str, out) -> list[tuple]:
     tests = copy / "tests"
     subset = [tests / f"test_{path.stem}.py"] + [tests / name for name in SUBSET]
     subset = [str(p) for p in subset if p.exists()]
+    full = [str(tests), "--deselect", f"tests/{CHECKS_EQUIVALENT}"]
 
     # The unmutated module, as ast.unparse writes it, must pass: a failure
     # there would count every mutant as killed.
@@ -143,26 +173,21 @@ def sweep(copy: Path, module: str, out) -> list[tuple]:
     timeout = 5 * (time.perf_counter() - start) + 30
     full_checked = False
 
-    found = list(mutants(tree))
+    found = list(keyed(module, tree))
     print(f"{module}: {len(found)} mutants", file=out, flush=True)
-    survivors, seen = [], Counter()
-    for node, index, new, qualname in found:
-        before, after, text = mutant(tree, node, index, new)
-        seen[qualname, before, after] += 1
-        if seen[qualname, before, after] > 1:
-            qualname += f"#{seen[qualname, before, after]}"
-        key = (module, qualname, before, after)
-        label = f"{node.lineno}: {qualname}: {before} -> {after}"
+    survivors = []
+    for key, line, text in found:
+        label = f"{line}: {key[1]}: {key[2]} -> {key[3]}"
         path.write_text(text)
         result = run_tests(copy, subset, timeout)
         if result == "passed":
             if not full_checked:  # once, before the first full run
                 path.write_text(plain)
-                if run_tests(copy, [str(tests)], None) != "passed":
+                if run_tests(copy, full, None) != "passed":
                     raise SystemExit(f"{module}: the full suite fails on the unmutated module")
                 full_checked = True
                 path.write_text(text)
-            result = run_tests(copy, [str(tests)], 4 * timeout)
+            result = run_tests(copy, full, 4 * timeout)
             if result == "passed":
                 reason = EQUIVALENT.get(key)
                 if reason:
