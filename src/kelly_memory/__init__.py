@@ -1,4 +1,25 @@
-"""Kelly-optimal bet sizing for binary games with Markov memory."""
+"""Kelly-optimal bet sizing for binary games with Markov memory.
+
+Numpy is loaded with a one-thread OpenBLAS unless the caller set
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS first.
+"""
+
+import os as _os
+import sys as _sys
+
+# The package needs almost no BLAS, yet OpenBLAS starts a worker per CPU
+# when it loads, and reads its thread count only then. The variable is
+# set around that one import and removed again, so the caller's
+# environment, and every child process, sees what it saw before.
+if "numpy" not in _sys.modules and not any(
+    var in _os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        __import__("numpy")
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+del _os, _sys
 
 from .errors import (
     DimensionMismatch,

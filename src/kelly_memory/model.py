@@ -234,6 +234,12 @@ class GameSpec:
         p.flags.writeable = False
         return p
 
+    @cached_property
+    def _expected_heads(self) -> float:
+        # Cached beside probs: one request's kelly_horizon and constant
+        # bettors' ELGs all read the same sum.
+        return float(prefix_sums(self.probs)[-1])
+
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
@@ -398,8 +404,11 @@ def prefix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def expected_heads(spec: GameSpec) -> float:
-    """Expected number of heads over the horizon, sum_k p_k, from prefix_sums."""
-    return float(prefix_sums(spec.probs)[-1])
+    """Expected number of heads over the horizon, sum_k p_k, from prefix_sums.
+
+    Computed on first use and cached on the spec, as its probs are.
+    """
+    return spec._expected_heads
 
 
 def state_space(params: MemoryParams, history: History) -> StateSpace:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -569,6 +570,15 @@ class TestOutputFiles:
         assert code == 0
         assert json.loads(out)["kstar"] == 0.167
 
+    def test_precision_of_one_digit(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "kelly", "--omega", "0.55,0.20", "--history", "+1", "--n", "2",
+            "--precision", "1",
+        )
+        assert code == 0
+        assert out == '{"kstar": 0.2, "kn": 0.4, "kinf": 0.2, "kvec": [0.5, 0.3]}\n'
+
 
 def render_outcome(render, record, fmt, precision):
     try:
@@ -992,3 +1002,52 @@ class TestFileContract:
         code, out, err = run_on_file(argv, text)
         if not is_one_line_error(code, out, err):
             check_output(out, fmt)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_python(args, **env):
+    """Run ``python args`` from src/ with none of the BLAS thread variables but ``env``."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True,
+        env={**base, "PYTHONPATH": str(src), **env},
+    )
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task")
+        or len(os.sched_getaffinity(0)) < 2
+        or "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"],
+        reason="counts OpenBLAS's pool under /proc/self/task, which one CPU would not start",
+    )
+    @pytest.mark.parametrize(
+        "env, tasks", [({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, 2), ({"OMP_NUM_THREADS": "2"}, 2)]
+    )
+    def test_numpy_loads_one_thread_unless_the_caller_chose(self, env, tasks):
+        probe = (
+            "import json, os; before = dict(os.environ); import kelly_memory; "
+            "print(json.dumps([len(os.listdir('/proc/self/task')), dict(os.environ) == before]))"
+        )
+        out = run_python(["-c", probe], **env).stdout
+        assert json.loads(out) == [tasks, True]
+
+    def test_thread_count_moves_no_printed_digit(self, tmp_path):
+        # 2e5 moves of an m = 3 process near the hyperdiamond boundary,
+        # whose least-squares point lands outside, so the fit projects.
+        omega, window, rng = (0.6, 0.15, -0.15, 0.09999), [1, -1, 1], random.Random(2)
+        lines = []
+        for _ in range(200_000):
+            head = rng.random() < omega[0] + sum(w * x for w, x in zip(omega[1:], window))
+            window = [1 if head else -1] + window[:-1]
+            lines.append("+1" if head else "-1")
+        moves = tmp_path / "moves.txt"
+        moves.write_text("\n".join(lines) + "\n")
+        argv = ["-m", "kelly_memory", "estimate", str(moves), "--m", "3", "--constrained",
+                "--precision", "17"]
+        unset = run_python(argv).stdout
+        assert json.loads(unset)["projected"] is True
+        assert run_python(argv, OPENBLAS_NUM_THREADS="2").stdout == unset

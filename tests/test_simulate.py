@@ -637,6 +637,21 @@ class TestMonteCarloElg:
         assert stats.std_error == 0.0
         assert stats.final_value_quantiles == (1.0, 1.0, 1.0)
 
+    def test_standard_bettors_take_two_prefix_sums(self, monkeypatch):
+        # One for E(H_n), which kelly_horizon and both constant bettors'
+        # ELGs share, and one for the vector bettor's ELG.
+        sums = []
+
+        def counted(values, real=model.prefix_sums):
+            sums.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(model, "prefix_sums", counted)
+        spec = make_spec([0.55, 0.20], [1], n=30)
+        config = simulate.SimConfig(spec, simulate.standard_policies(spec), paths=100, seed=1)
+        simulate.monte_carlo_elg(config)
+        assert sums == [30, 30]
+
     def test_iid_matches_closed_form(self):
         spec = make_spec([0.6, 0.0], [1], n=10)
         expected = 0.6 * math.log(1.2) + 0.4 * math.log(0.8)
