@@ -15,16 +15,18 @@ flags, one row per step. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
 count array, in the narrowest unsigned type that holds n; a vector
 bettor's log growth is summed from the flags into its own array. The
-statistics then take the policies one at a time, through one reused
-path-sized buffer. Per-path statistics are reduced with numpy's
-pairwise summation over the whole run, keeping the reduction order fixed
-as well; mean and standard error take exactly the steps of np.mean and
-np.std(ddof=1). The quantiles of the final values are exact and
-interpolated as np.quantile does. A vector bettor's are each selected by
-one single-kth partition. A constant bettor's final value takes only the
-n + 1 values of its head-count table, so its quantiles and its overflow
-check are read off the histogram of the head count, and its per-path log
-growth is gathered from the table.
+statistics then take the policies one at a time, a piece of at most
+``BLOCK_PATHS`` paths at a time through one reused buffer: the pieces are
+the leaves of the pairwise-summation tree that numpy's reduce walks over
+the whole run, so the reduction order stays fixed as well, and mean and
+standard error take exactly the steps of np.mean and np.std(ddof=1). The
+quantiles of the final values are exact and interpolated as np.quantile
+does. A vector bettor's are each selected by one single-kth partition of
+its final values, which overwrite its log growth once the sums are done.
+A constant bettor's final value takes only the n + 1 values of its
+head-count table, so its quantiles and its overflow check are read off
+the histogram of the head count, and its per-path log growth is read
+from the table a piece at a time.
 """
 
 from __future__ import annotations
@@ -120,10 +122,11 @@ def _worker_bytes(rows: int, n: int) -> int:
 
     Per block cell 9: the raw words in step-major order (8) and the head
     flags (1). Per cell of one piece, of at most PIECE_PATHS rows, 8: the
-    words as drawn. Per row 32: the state, the limits and the vector
-    bettors' index and term (8 each).
+    words as drawn. Per row 40: the state, the limits, the buffer in which
+    np.bitwise_or casts a step's head flags to the state's type, and the
+    vector bettors' index and term (8 each).
     """
-    return 9 * rows * n + 8 * min(rows, PIECE_PATHS) * n + 32 * rows
+    return 9 * rows * n + 8 * min(rows, PIECE_PATHS) * n + 40 * rows
 
 
 def _workers(n: int, paths: int, per_path: int, held: int) -> int:
@@ -153,16 +156,16 @@ def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
     The run has ``constants`` constant and ``vectors`` vector bettors. The
     byte count is an upper estimate: STAGE_BYTES per stage, the analytic
     layer's bound, which covers the p_k pass and the vector bettors'
-    fractions; one sampling worker's buffers; and per path 8 for each
-    vector bettor's growth array, the width of the head count once if any
-    bettor is constant, and 8 for the one statistics buffer. The three
-    standard bettors at n <= 255 hold 17 bytes per path. Returns the
-    number of worker threads the run uses.
+    fractions; the statistics buffer of _leaf_paths() entries; one
+    sampling worker's buffers; and per path 8 for each vector bettor's
+    growth array and the width of the head count once if any bettor is
+    constant. The three standard bettors at n <= 255 hold 9 bytes per
+    path. Returns the number of worker threads the run uses.
     """
-    per_path = 8 * vectors + 8
+    per_path = 8 * vectors
     if constants:
         per_path += np.min_scalar_type(n).itemsize
-    return _workers(n, paths, per_path, STAGE_BYTES * n)
+    return _workers(n, paths, per_path, STAGE_BYTES * n + 8 * _leaf_paths())
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -324,6 +327,56 @@ def _pieces(size: int):
     return (slice(i, i + BLOCK_PATHS) for i in range(0, size, BLOCK_PATHS))
 
 
+def _leaf_paths() -> int:
+    """Most entries _tree_sum reads at once: BLOCK_PATHS, and never fewer than 128.
+
+    numpy's pairwise_sum adds a node of up to 128 entries in one loop,
+    which no split reproduces.
+    """
+    return max(BLOCK_PATHS, 128)
+
+
+def _tree_sum(values, start: int, stop: int) -> np.float64:
+    """np.add.reduce of the float64 entries [start, stop), which values(a, b) returns.
+
+    numpy reduces a contiguous float64 array by one pairwise sum over all
+    of it, not by pieces: pairwise_sum in
+    numpy/_core/src/umath/loops_utils.h.src splits a node of more than 128
+    entries at half = size // 2, rounded down to a multiple of 8, and adds
+    the sums of its two halves. Where a node splits depends on its size
+    alone, so a node of at most _leaf_paths() entries is reduced on its
+    own and the halves are added up the tree, bit for bit as the whole
+    array would be (tests/test_simulate.py, TestTreeSum). values(a, b) is
+    called only with b - a <= _leaf_paths().
+    """
+    size = stop - start
+    if size <= _leaf_paths():
+        return np.add.reduce(values(start, stop))
+    half = size // 2
+    half -= half % 8
+    return _tree_sum(values, start, start + half) + _tree_sum(values, start + half, stop)
+
+
+def _mean_and_std_error(values, size: int) -> tuple[float, float]:
+    """Mean and standard error of the ``size`` entries that values(a, b) returns.
+
+    The steps of np.mean and np.std(ddof=1) / sqrt(size), summed along
+    _tree_sum. values(a, b) returns entries [a, b) in a writable array that
+    the squared deviations then overwrite.
+    """
+    mean = _tree_sum(values, 0, size) / size
+    if size == 1:
+        return float(mean), 0.0
+
+    def squares(a, b):
+        deviation = values(a, b)
+        np.subtract(deviation, mean, out=deviation)
+        return np.multiply(deviation, deviation, out=deviation)
+
+    variance = _tree_sum(squares, 0, size) / (size - 1)
+    return float(mean), float(np.sqrt(variance) / math.sqrt(size))
+
+
 def monte_carlo_elg(config: SimConfig) -> SimResult:
     """Estimate per-bet log growth for every configured policy.
 
@@ -372,19 +425,20 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
             histogram += np.bincount(count[piece], minlength=n + 1)
         held = np.flatnonzero(histogram)
         head_counts = np.arange(n + 1.0)
-    # One buffer serves every policy in turn: a vector bettor's final
-    # values, or a constant bettor's log growth gathered from its table.
-    # The log growth is turned in place into g = log_vn / n and its squared
-    # deviations: the steps of np.mean and np.std(ddof=1), without
-    # np.std's path-sized temporary.
-    work = np.empty(m_paths)
+    # Every policy's g = log_vn / n passes through this one buffer, a leaf
+    # of _tree_sum at a time; a vector bettor's growth array is only read.
+    buffer = np.empty(min(m_paths, _leaf_paths()))
     vector_growth = iter(growth)
     stats = []
     for name, pol in config.policies:
         if pol.fractions.ndim:
             log_vn = next(vector_growth)
+            mean, std_error = _mean_and_std_error(
+                lambda a, b: np.divide(log_vn[a:b], n, out=buffer[: b - a]), m_paths
+            )
+            # The sums are done, so the final values may overwrite the log growth.
             with np.errstate(over="ignore"):
-                finals = np.exp(log_vn, out=work)
+                finals = np.exp(log_vn, out=log_vn)
             top, quantiles = finals.max(), _quantiles(finals)
         else:
             # The log growth after c heads, for every c, by the same steps
@@ -395,24 +449,18 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
             with np.errstate(over="ignore"):
                 finals = np.exp(table[held])
             top, quantiles = finals.max(), _histogram_quantiles(finals, histogram[held])
-            log_vn = work
-            for piece in _pieces(m_paths):
-                np.take(table, count[piece], out=log_vn[piece], mode="clip")
+            g = table / n
+            mean, std_error = _mean_and_std_error(
+                lambda a, b: np.take(g, count[a:b], out=buffer[: b - a], mode="clip"), m_paths
+            )
         if top == math.inf:
             raise NumericalError(
                 f"final account value of policy {name!r} overflows, so it is not finite"
             )
-        g = np.divide(log_vn, n, out=log_vn)
-        mean = np.add.reduce(g) / m_paths
-        std_error = 0.0
-        if m_paths > 1:
-            np.subtract(g, mean, out=g)
-            variance = np.add.reduce(np.multiply(g, g, out=g)) / (m_paths - 1)
-            std_error = float(np.sqrt(variance) / math.sqrt(m_paths))
         stats.append(
             PolicyStats(
                 name=name,
-                mean_log_growth=float(mean),
+                mean_log_growth=mean,
                 std_error=std_error,
                 analytic_elg=policy_mod.elg(spec, pol),
                 final_value_quantiles=quantiles,

@@ -271,6 +271,75 @@ class TestQuantiles:
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+TREE_SIZES = (
+    1, 7, 8, 9, 127, 128, 129,
+    simulate.BLOCK_PATHS - 1, simulate.BLOCK_PATHS, simulate.BLOCK_PATHS + 1,
+    2 * simulate.BLOCK_PATHS + 3, 5 * simulate.BLOCK_PATHS + 7, 100_003, 1_000_001,
+)
+# Zeros of both signs, subnormals at both ends, and the smallest normal.
+TINY = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.2250738585072014e-308)
+
+
+def spread_values(size, seed):
+    """``size`` floats of either sign whose magnitudes span 16 decades."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+
+
+def tree_sum(x):
+    """simulate._tree_sum over the array x, checking that no piece exceeds a leaf."""
+    def values(a, b):
+        assert 0 <= a < b <= x.size and b - a <= simulate._leaf_paths()
+        return x[a:b]
+
+    return simulate._tree_sum(values, 0, x.size)
+
+
+def same_float(got, expected):
+    return got == expected and float(got).hex() == float(expected).hex()
+
+
+class TestTreeSum:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        size=st.sampled_from(TREE_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        tiny=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(TINY)),
+                      max_size=6),
+        all_tiny=st.booleans(),
+    )
+    def test_equal_to_np_add_reduce_of_the_whole_array(self, size, seed, tiny, all_tiny):
+        # numpy sums the whole array along one pairwise tree; summing its
+        # subtrees a leaf at a time must give the same bits. Zeros of both
+        # signs and subnormals are put in at drawn places, or fill the array.
+        x = spread_values(size, seed)
+        if all_tiny:
+            x = np.resize(np.array(TINY), size)
+        for place, value in tiny:
+            x[int(place * size)] = value
+        assert same_float(tree_sum(x), np.add.reduce(x))
+
+    def test_tells_the_tree_from_a_sum_of_pieces(self):
+        # A sum of per-piece sums is another order, and here it differs
+        # from numpy's reduce, as a tree that rounds each half up to a
+        # multiple of 8 does too. The tree sum equals the reduce.
+        x = spread_values(2 * simulate.BLOCK_PATHS + 3, 0)
+        expected = np.add.reduce(x)
+        pieces = sum(np.add.reduce(x[piece]) for piece in simulate._pieces(x.size))
+        assert pieces != expected
+        assert same_float(tree_sum(x), expected)
+
+    @pytest.mark.parametrize("block", [64, 100])
+    @pytest.mark.parametrize("size", [128, 129, 250, 256, 1001])
+    def test_numpy_never_splits_128_entries_whatever_the_block(self, block, size, monkeypatch):
+        # Tests shrink BLOCK_PATHS below numpy's 128-entry unsplit node; a
+        # leaf then still holds up to 128 entries, for the same sums.
+        monkeypatch.setattr(simulate, "BLOCK_PATHS", block)
+        assert simulate._leaf_paths() == 128
+        x = spread_values(size, size)
+        assert same_float(tree_sum(x), np.add.reduce(x))
+
+
 def hexed(stats):
     """A PolicyStats' floats as hex strings, so that equal means bit-identical."""
     return (
@@ -288,6 +357,27 @@ CONSTANT_FRACTIONS = st.one_of(
     st.sampled_from((0.0, -0.0, 1e-17, -1e-17, 0.999, -0.999)),
     st.floats(-0.999, 0.999, allow_subnormal=False),
 )
+
+
+class TestStatisticsAlongTheTree:
+    @pytest.mark.parametrize("paths", [1, 5 * simulate.BLOCK_PATHS + 7, 100_003])
+    @pytest.mark.parametrize(
+        "omega,history",
+        [([0.55, 0.20], [1]), ([0.5, 0.2, -0.1, 0.15], [1, -1, 1])],
+        ids=["m1", "m3"],
+    )
+    def test_equal_to_the_whole_array_oracle(self, omega, history, paths):
+        # The oracle takes np.mean and np.std of whole per-path arrays; the
+        # statistics, summed a leaf at a time, must give the same bits at
+        # trees of one leaf, of five and of about a dozen.
+        spec = make_spec(omega, history, n=12)
+        policies = simulate.standard_policies(spec) + (
+            ("negative", policy.BettorPolicy.constant(-0.3)),
+            ("both signs", policy.BettorPolicy.varying(np.linspace(-0.4, 0.6, spec.n))),
+        )
+        config = simulate.SimConfig(spec=spec, policies=policies, paths=paths, seed=paths)
+        got = simulate.monte_carlo_elg(config).stats
+        assert list(map(hexed, got)) == list(map(hexed, bruteforce.monte_carlo_elg(config).stats))
 
 
 class TestConstantBettorsFromTheHistogram:
@@ -399,10 +489,12 @@ class TestMemoryBudget:
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         assert simulate.check_budget(spec.n, paths, 2, 1) == 3
         worker = simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
-        # Per path: kvec's growth, the two constants' shared head count and
-        # the one statistics buffer.
-        per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize + 8
-        one = simulate.STAGE_BYTES * spec.n + per_path * paths + worker
+        # Per path: kvec's growth and the two constants' shared head count,
+        # 9 bytes; the statistics buffer holds one leaf of the sums.
+        per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize
+        assert per_path == 9
+        held = simulate.STAGE_BYTES * spec.n + 8 * simulate._leaf_paths()
+        one = held + per_path * paths + worker
         for budget, workers in ((one + 2 * worker, 3), (one + worker, 2), (one, 1)):
             monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
             assert simulate.check_budget(spec.n, paths, 2, 1) == workers
@@ -415,11 +507,12 @@ class TestMemoryBudget:
 
     def test_vector_bettors_charged_no_head_count(self, monkeypatch):
         # Only constant bettors share the per-path head count: at a budget
-        # of 16 bytes per path, a lone vector bettor is accepted and run,
-        # and one more constant bettor, 17 bytes per path, is rejected.
+        # of 8 bytes per path, a lone vector bettor is accepted and run,
+        # and one more constant bettor, 9 bytes per path, is rejected.
         spec, paths = make_spec([0.55, 0.20], [1], n=30), 1000
         worker = simulate._worker_bytes(paths, spec.n)
-        budget = simulate.STAGE_BYTES * spec.n + 16 * paths + worker
+        held = simulate.STAGE_BYTES * spec.n + 8 * simulate._leaf_paths()
+        budget = held + 8 * paths + worker
         monkeypatch.setattr(simulate, "MEMORY_BUDGET", budget)
         vector = ("v", policy.kelly_timevarying(spec))
         simulate.monte_carlo_elg(simulate.SimConfig(spec=spec, policies=(vector,), paths=paths))
@@ -451,11 +544,12 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         vectors = sum(pol.fractions.ndim for _, pol in policies)
-        per_path = 8 * vectors + 8
+        per_path = 8 * vectors
         if vectors < len(policies):
             per_path += np.min_scalar_type(n).itemsize
         worker = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)
-        charge = simulate.STAGE_BYTES * n + per_path * paths + workers * worker
+        held = simulate.STAGE_BYTES * n + 8 * simulate._leaf_paths()
+        charge = held + per_path * paths + workers * worker
         assert simulate.check_budget(n, paths, len(policies) - vectors, vectors) == workers
         assert peak <= charge
 

@@ -2,13 +2,14 @@
 every span the benchmark requires names a function it can trace, the
 README's library example runs and its bytes-per-path figure is the
 budget's charge, the input-contract test covers every export, and the
-mutation sweep in tools/ runs."""
+mutation sweep and the output comparison in tools/ run."""
 
 import ast
 import importlib
 import inspect
 import io
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -179,3 +180,34 @@ def test_mutation_sweep_on_a_toy_module(tmp_path, monkeypatch):
         "1 survivors",
     ]
     assert (tmp_path / "src" / "toy.py").read_text() == TOY  # the checkout is never edited
+
+
+def test_same_output_reports_a_changed_printed_constant(tmp_path, monkeypatch):
+    # tools/same_output.py compares what two trees print for the benchmark's
+    # commands. This tree against itself differs nowhere; a copy that prints
+    # CSV with 7 digits, not 6, differs in the one CSV command, scenario.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    same_output = importlib.import_module("same_output")
+    workloads = importlib.import_module("workloads")
+    shapes = workloads.Shapes(
+        scenario_n=8, kelly_n=50, sim_n=5, sim_short_n=2, paths=100, prices=2000
+    )
+    src = ROOT / "src"
+    copy = tmp_path / "copy"
+    shutil.copytree(src, copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = copy / "src" / "kelly_memory" / "cli.py"
+    text = cli.read_text()
+    assert text.count("CSV_SIG_DIGITS = 6\n") == 1
+    cli.write_text(text.replace("CSV_SIG_DIGITS = 6\n", "CSV_SIG_DIGITS = 7\n"))
+    assert same_output.package_dir(str(copy)) == copy / "src"
+    assert same_output.seed_list("1-3,7") == [1, 2, 3, 7]
+    out = io.StringIO()
+    assert same_output.differences(src, src, [1], ("game", "fit"), shapes, out) == 0
+    assert out.getvalue().splitlines() == ["0 of 6 commands differ"]
+    out = io.StringIO()
+    assert same_output.differences(src, copy / "src", [1], ("game", "fit"), shapes, out) == 1
+    assert out.getvalue().splitlines() == [
+        "game seed 1 scenario: stdout differ",
+        "1 of 6 commands differ",
+    ]

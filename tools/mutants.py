@@ -12,9 +12,9 @@ mutant that passes those meets the whole suite under tests/. A mutant that
 still passes is a survivor, unless EQUIVALENT lists it with the reason it
 cannot change what the module does beyond rounding.
 
-Not part of the test suite: on two CPUs, simulate.py took about 23
-minutes, and policy.py and model.py 29 together beside it; estimate.py
-took 22. Exits 1 when a survivor is not listed as equivalent.
+Not part of the test suite: on two CPUs, simulate.py took about 16
+minutes alone, and policy.py and model.py 29 together beside it;
+estimate.py took 22. Exits 1 when a survivor is not listed as equivalent.
 """
 
 from __future__ import annotations
