@@ -7,7 +7,9 @@ its normal equations X'X w = X'y; with outcomes in {-1, +1} and responses
 in {0, 1} both sides are sums of integers, so they are formed exactly.
 The optionally constrained fit keeps the estimate inside the hyperdiamond
 via projected gradient descent on the same system, with an exact l1-ball
-projection in the coordinates shifted by the diamond center. Every fit
+projection in the coordinates shifted by the diamond center, onto a radius
+shrunk by _PRINT_SLACK per coefficient so that the estimate stays inside
+once the CLI prints it to 12 significant digits. Every fit
 ends in one FitResult, built in one place: the coefficients, the residual
 sum of squares, whether the fit was constrained and its projected-gradient
 iterations. ``projected`` is derived from those, iterations > 0.
@@ -56,11 +58,11 @@ _SINGULAR_RTOL = 1e-10
 
 _PG_TOL = 1e-10
 _PG_MAX_ITER = 10_000
-# Rounding can leave a projection a few ulps outside its target radius; the
-# fit's last point is projected again onto a target one ulp smaller, at most
-# this many times, until diamond_distance accepts it.
-_NUDGE_MAX = 64
-_POWER_ITERATIONS = 50
+# One unit in the 12th significant digit of a coefficient below 1: twice the
+# most that printing it to cli.JSON_SIG_DIGITS digits moves it. A projected
+# fit targets DIAMOND_RADIUS less this per coefficient, so the printed fit is
+# still inside the hyperdiamond.
+_PRINT_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +158,15 @@ def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-# A fit's regression X, y and its normal equations gram @ w = xty.
-_NormalSystem = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A fit's regression X, y, its normal equations gram @ w = xty and the
+# largest eigenvalue of gram.
+_NormalSystem = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
 
 
 def _normal_system(obs: ObservationSet) -> _NormalSystem:
-    """(X, y, X'X, X'y), the regression built once; raises InsufficientData
-    below m + 2 rows and SingularDesign when the system cannot be solved."""
+    """(X, y, X'X, X'y, largest eigenvalue of X'X), the regression built once;
+    raises InsufficientData below m + 2 rows and SingularDesign when the
+    system cannot be solved."""
     if len(obs) - obs.m < obs.m + 2:
         raise InsufficientData(
             f"need at least {2 * obs.m + 2} observations at depth {obs.m}, "
@@ -176,7 +180,7 @@ def _normal_system(obs: ObservationSet) -> _NormalSystem:
         raise SingularDesign(
             "normal system is numerically singular (constant or collinear data)"
         )
-    return X, y, gram, X.T @ y
+    return X, y, gram, X.T @ y, float(eig[-1])
 
 
 def _fit_result(system: _NormalSystem, w: np.ndarray, constrained: bool, iterations: int):
@@ -193,76 +197,62 @@ def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResu
     already built it (constrained_fit does).
     """
     system = _normal_system(obs) if system is None else system
-    _, _, gram, xty = system
+    _, _, gram, xty, _ = system
     return _fit_result(system, np.linalg.solve(gram, xty), False, 0)
 
 
 def constrained_fit(obs: ObservationSet) -> FitResult:
     """Least squares restricted to the (shrunk) hyperdiamond.
 
-    Returns the plain OLS estimate when the model's own test,
-    ``model.diamond_distance`` at most DIAMOND_RADIUS, accepts it.
-    Otherwise runs projected gradient descent from the projected OLS point
-    until the step-to-step change drops below 1e-10; raises NonConvergence
-    if 10^4 iterations do not get there. Its last point is then projected
-    onto a target one ulp smaller until the same test accepts it, so the
-    estimate always passes ``validate_params``.
+    Both decisions use one target radius, DIAMOND_RADIUS less _PRINT_SLACK
+    per coefficient. Returns the plain OLS estimate when
+    ``model.diamond_distance`` puts it within that target. Otherwise runs
+    projected gradient descent onto the target, from the projected OLS
+    point, with step one over the largest eigenvalue of X'X, until the
+    step-to-step change drops below 1e-10; raises NonConvergence if 10^4
+    iterations do not get there. So the estimate passes ``validate_params``
+    both as returned and as the CLI prints it in JSON at its default digits.
     """
     system = _normal_system(obs)
     ols = ols_fit(obs, system)
-    if diamond_distance(ols.omega_hat) <= DIAMOND_RADIUS:
+    radius = DIAMOND_RADIUS - (obs.m + 1) * _PRINT_SLACK
+    if diamond_distance(ols.omega_hat) <= radius:
         return replace(ols, constrained=True)
 
-    X, _, gram, xty = system
-    scale = 2.0 / X.shape[0]
-    gram = scale * gram
-    lipschitz = _power_lmax(gram)
-    step = 1.0 / lipschitz
-    xty = scale * xty
-
-    w = project_hyperdiamond(ols.omega_hat, DIAMOND_RADIUS)
+    _, _, gram, xty, lmax = system
+    step = 1.0 / lmax
+    w = project_hyperdiamond(ols.omega_hat, radius)
     for iteration in range(1, _PG_MAX_ITER + 1):
-        grad = gram @ w - xty
-        w_next = project_hyperdiamond(w - step * grad, DIAMOND_RADIUS)
+        w_next = project_hyperdiamond(w - step * (gram @ w - xty), radius)
         change = float(np.max(np.abs(w_next - w)))
         w = w_next
         if change < _PG_TOL:
             break
     else:
         raise NonConvergence(f"projected gradient did not converge in {_PG_MAX_ITER} iterations")
-    radius = DIAMOND_RADIUS
-    for _ in range(_NUDGE_MAX):
-        if diamond_distance(w.tolist()) <= DIAMOND_RADIUS:
-            break
-        radius = math.nextafter(radius, 0.0)
-        w = project_hyperdiamond(w, radius)
     return _fit_result(system, w, True, iteration)
 
 
-def _power_lmax(gram: np.ndarray) -> float:
-    """Largest eigenvalue of a PSD matrix by fixed-length power iteration."""
-    v = np.ones(gram.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_ITERATIONS):
-        v = gram @ v
-        v /= np.linalg.norm(v)
-    return float(v @ gram @ v)
-
-
 def _project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball of the given radius (Duchi)."""
+    """Euclidean projection onto the l1 ball of the given radius (Duchi et al. 2008).
+
+    The threshold is found from d, each sorted entry's distance below the
+    largest, which is exact for entries within a factor of two of it
+    (Sterbenz), so no kept entry loses the radius to a huge threshold. An
+    entry at least ``radius`` below the largest is never kept, so d is
+    capped there and its cumulative sum cannot overflow.
+    """
     a = np.abs(v)
     if a.sum() <= radius:
         return v.astype(float, copy=True)
     u = np.sort(a)[::-1]
-    css = np.cumsum(u)
+    d = np.minimum(u[0] - u, radius)
+    cd = np.cumsum(d)
     ranks = np.arange(1, u.size + 1)
-    rho = np.flatnonzero(u * ranks > css - radius)
-    # The first rank always qualifies, though a radius below half an ulp
-    # of the largest entry rounds its test to False.
-    rho = rho[-1] if rho.size else 0
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
+    # Rank 1 always qualifies, since d[0] = 0 and radius > 0.
+    rho = np.flatnonzero(cd + radius > ranks * d)[-1]
+    kept = (cd[rho] + radius) / (rho + 1.0)
+    return np.sign(v) * np.maximum(kept - (u[0] - a), 0.0)
 
 
 def project_hyperdiamond(omega: Sequence[float], radius: float) -> np.ndarray:

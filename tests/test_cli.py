@@ -16,8 +16,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bruteforce
-from kelly_memory import cli, model
-from kelly_memory.errors import NumericalError
+from kelly_memory import cli, estimate, model, policy, simulate
+from kelly_memory.errors import (
+    HyperdiamondViolation,
+    InsufficientData,
+    KellyMemoryError,
+    NonConvergence,
+    NumericalError,
+    SingularDesign,
+)
 from strategies import outcome_files, price_files, valid_games
 
 
@@ -295,12 +302,12 @@ class TestGoldenShapes:
             ),
             (
                 ("estimate", "{alt}", "--m", "1", "--constrained"),
-                '{"omega": [0.5, -0.499999999], "rss": 1.99000021939e-16, '
+                '{"omega": [0.5, -0.499999998998], "rss": 1.99796811352e-16, '
                 '"constrained": true, "projected": true}\n',
             ),
             (
                 ("estimate", "{alt}", "--m", "1", "--constrained", "--format", "csv"),
-                "name,value\nomega_0,0.5\nomega_1,-0.5\nrss,1.99e-16\n"
+                "name,value\nomega_0,0.5\nomega_1,-0.5\nrss,1.99797e-16\n"
                 "constrained,true\nprojected,true\n",
             ),
             (
@@ -883,6 +890,15 @@ def _reject_constant(name):
     raise ValueError(f"JSON holds the non-finite constant {name}")
 
 
+def game_argv(omega, history, n):
+    """The --omega, --history and --n arguments of a game command."""
+    return [
+        "--omega=" + ",".join(map(repr, omega)),
+        "--history=" + ",".join("+1" if v == 1 else "-1" for v in history),
+        f"--n={n}",
+    ]
+
+
 @st.composite
 def cli_requests(draw):
     """(argv, outcome file text, output format): small sizes, valid or not."""
@@ -896,11 +912,7 @@ def cli_requests(draw):
     else:
         params, history = draw(valid_games())
         n = draw(st.integers(0, 40))
-        argv += [
-            "--omega=" + ",".join(map(repr, params.omega)),
-            "--history=" + ",".join("+1" if v == 1 else "-1" for v in history.values),
-            f"--n={n}",
-        ]
+        argv += game_argv(params.omega, history.values, n)
         fraction = st.floats(-1.0, 1.0)
         if command == "elg" or (command == "simulate" and draw(st.booleans())):
             ks = draw(st.one_of(st.lists(fraction, min_size=1, max_size=1),
@@ -1002,6 +1014,176 @@ class TestFileContract:
         code, out, err = run_on_file(argv, text)
         if not is_one_line_error(code, out, err):
             check_output(out, fmt)
+
+
+def printed_record(argv, data=""):
+    """The JSON record of a run that must succeed."""
+    code, out, err = run_on_file(argv, data)
+    assert (code, err) == (0, ""), err
+    return json.loads(out)
+
+
+def assert_near(printed, exact, bound):
+    """Printed values within ``bound`` of the library's at the unrounded input,
+    plus half a unit in the 12th digit that printing them drops and 1e-13
+    for the arithmetic's own rounding."""
+    printed, exact = np.asarray(printed, float), np.asarray(exact, float)
+    assert np.all(np.abs(printed - exact) <= bound + 5e-12 * np.abs(exact) + 1e-13), (
+        printed, exact, bound,
+    )
+
+
+def probability_moves(printed, exact, n):
+    """How far reading ``printed`` for ``exact`` omega moves the head
+    probabilities: (any p_k of n stages, the long-run p).
+
+    With e = sum |printed - exact|, p'_k - p_k = dw0 + sum dwi (2 p'_{k-i} - 1)
+    + 2 sum wi (p'_{k-i} - p_{k-i}), and 2 sum |wi| < 1, so the gap grows by
+    at most e a stage and never past e / (1 - 2 sum |wi|), which also bounds
+    the long-run p. e is widened by 1e-15 for the recursion's own rounding.
+    """
+    e = sum(abs(a - b) for a, b in zip(printed, exact)) + 1e-15
+    g = 1.0 - 2.0 * sum(abs(w) for w in exact[1:])
+    return e * min(n, 1.0 / g), e / g
+
+
+def elg_moves(dh, dk, fractions):
+    """How far ELG(h, K) = h log(1 + K) + (1 - h) log(1 - K) moves when h moves
+    by dh and K by dk, for |K| up to the largest among ``fractions``, exact
+    or printed (1e-11 more covers the printing): its slopes in h and K are
+    at most log((1 + |K|)/(1 - |K|)) and 1/(1 - |K|)."""
+    k = float(np.abs(np.concatenate([np.ravel(f) for f in fractions])).max()) + 1e-11
+    return dh * (math.log1p(k) - math.log1p(-k)) + dk / (1.0 - k)
+
+
+@st.composite
+def edge_outcomes(draw):
+    """(outcome file text, m, history): outcomes of a game at or near the
+    hyperdiamond's edge, whose least-squares point often lies outside."""
+    m = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=m + 1,
+                        max_size=m + 1))
+    size = sum(abs(v) for v in raw)
+    assume(size > 0)
+    scale = (model.DIAMOND_RADIUS - draw(st.sampled_from((0.0, 1e-9, 1e-5)))) / size
+    omega = [0.5 + scale * raw[0]] + [scale * v for v in raw[1:]]
+    history = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m)))
+    try:
+        spec = model.GameSpec(model.validate_params(omega), model.History(history),
+                              draw(st.integers(2 * m + 2, 3000)))
+    except HyperdiamondViolation:
+        assume(False)
+    data = simulate.sample_path(spec, stream_seed=draw(st.integers(0, 2**32 - 1)))
+    return "".join("+1\n" if v == 1 else "-1\n" for v in data), m, history
+
+
+class TestRoundTrips:
+    """What one command prints (JSON, default digits) is valid input to the next.
+
+    The second command must succeed and agree with the library at the
+    unrounded values, within what the 12-digit rounding of its input can
+    move its result (probability_moves, elg_moves).
+    """
+
+    @settings(deadline=None, max_examples=100)
+    @given(outcomes=edge_outcomes(), n=st.integers(1, 30), k=st.floats(-0.5, 0.5),
+           seed=st.integers(0, 99))
+    # A projected fit whose printed digits lay outside the hyperdiamond:
+    # 0.2500000005 and -0.2499999995 sum to 0.499999999 past DIAMOND_RADIUS.
+    @example(outcomes=("+1\n-1\n-1\n+1\n", 1, (1,)), n=3, k=0.1, seed=0)
+    def test_estimate_omega_feeds_the_game_commands(self, outcomes, n, k, seed):
+        text, m, history = outcomes
+        try:
+            fit = estimate.constrained_fit(
+                estimate.ObservationSet([1 if t == "+1" else -1 for t in text.split()], m)
+            )
+        except (InsufficientData, SingularDesign, NonConvergence):
+            assume(False)
+        printed = printed_record(["estimate", "{data}", f"--m={m}", "--constrained"], text)
+        assert_near(printed["omega"], fit.omega_hat, 0.0)
+        spec = model.GameSpec(model.validate_params(fit.omega_hat), model.History(history), n)
+        game = game_argv(printed["omega"], history, n)
+        dp, dpi = probability_moves(printed["omega"], fit.omega_hat, n)
+
+        kelly = printed_record(["kelly", *game])
+        kstar, kn = policy.kelly_limit(spec.params), policy.kelly_horizon(spec)
+        kvec = policy.kelly_timevarying(spec).fractions
+        assert_near(kelly["kstar"], kstar, 2 * dpi)
+        assert_near(kelly["kn"], kn, 2 * dp)
+        assert_near(kelly["kvec"], kvec, 2 * dp)
+        rows = printed_record(["scenario", *game, "--format=json"])["rows"]
+        table = simulate.scenario_table(spec)
+        fractions = (k, kstar, kelly["kstar"], kvec, kelly["kvec"], table["kn"],
+                     [row["kn"] for row in rows])
+        elg_bound = elg_moves(dp, 2 * max(dp, dpi), fractions)
+
+        elg = printed_record(["elg", *game, f"--k={k!r}"])["elg"]
+        assert_near(elg, policy.elg(spec, policy.BettorPolicy.constant(k)), elg_bound)
+
+        for key, bound in (("kstar", 2 * dpi), ("kn", 2 * dp), ("elg_kstar", elg_bound),
+                           ("elg_kn", elg_bound), ("elg_kvec", elg_bound)):
+            assert_near([row[key] for row in rows], table[key], bound)
+
+        config = simulate.SimConfig(spec, simulate.standard_policies(spec), 50, seed)
+        stats = simulate.monte_carlo_elg(config).stats
+        got = printed_record(["simulate", *game, "--paths=50", f"--seed={seed}"])["policies"]
+        # Each path draws the same uniforms; an outcome flips only if one
+        # falls between a head probability and its moved value.
+        assert_near([s["analytic_elg"] for s in got], [s.analytic_elg for s in stats], elg_bound)
+        assert_near([s["mean_log_growth"] for s in got], [s.mean_log_growth for s in stats],
+                    elg_bound)
+
+    @settings(deadline=None, max_examples=100)
+    @given(game=valid_games(max_depth=3), n=st.integers(1, 30), seed=st.integers(0, 99))
+    def test_kelly_fractions_feed_elg_and_simulate(self, game, n, seed):
+        params, history = game
+        spec = model.GameSpec(params, history, n)
+        argv = game_argv(params.omega, history.values, n)
+        kelly = printed_record(["kelly", *argv])
+        for printed, exact in ((kelly["kn"], policy.kelly_horizon(spec)),
+                               (kelly["kvec"], policy.kelly_timevarying(spec).fractions)):
+            printed, pol = np.atleast_1d(printed), policy.BettorPolicy(exact)
+            bound = elg_moves(0.0, float(np.abs(printed - exact).max()), (printed, exact))
+            k = "--k=" + ",".join(map(repr, printed.tolist()))
+            assert_near(printed_record(["elg", *argv, k])["elg"], policy.elg(spec, pol), bound)
+            got = printed_record(["simulate", *argv, k, "--paths=50", f"--seed={seed}"])
+            config = simulate.SimConfig(spec, (("custom", pol),), 50, seed)
+            stats = simulate.monte_carlo_elg(config).stats[0]
+            assert_near(got["policies"][0]["analytic_elg"], stats.analytic_elg, bound)
+            assert_near(got["policies"][0]["mean_log_growth"], stats.mean_log_growth, bound)
+
+    @settings(deadline=None, max_examples=100)
+    @given(prices=st.lists(st.sampled_from((99.5, 100.0, 100.25, 101.0, 1e-3, 7e4)),
+                           min_size=2, max_size=80),
+           tie=st.sampled_from(("drop", "up", "down")), m=st.integers(1, 3),
+           constrained=st.booleans())
+    def test_ingest_moves_feed_estimate(self, prices, tie, m, constrained):
+        text = "price\n" + "".join(f"{p!r}\n" for p in prices)
+        code, moves, err = run_on_file(["ingest", "{data}", f"--tie={tie}"], text)
+        try:
+            expected = estimate.ingest_prices(prices, tie)
+        except KellyMemoryError:
+            assert code == 2
+            return
+        assert (code, err) == (0, "")
+        assert moves == "".join("+1\n" if v == 1 else "-1\n" for v in expected)
+        argv = ["estimate", "{data}", f"--m={m}"] + ["--constrained"] * constrained
+        code, out, err = run_on_file(argv, moves)
+        try:
+            obs = estimate.ObservationSet(expected, m)
+            fit = (estimate.constrained_fit if constrained else estimate.ols_fit)(obs)
+        except NumericalError:
+            assert code == 3
+            return
+        except KellyMemoryError:
+            assert code == 2
+            return
+        assert (code, err) == (0, "")
+        # The moves file is exact, so only the printing rounds.
+        payload = json.loads(out)
+        assert_near(payload["omega"], fit.omega_hat, 0.0)
+        assert_near(payload["rss"], fit.rss, 0.0)
+        assert payload["projected"] == fit.projected
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

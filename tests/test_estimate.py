@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import math
 import random
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bruteforce
-from kelly_memory import estimate, model, simulate
+from kelly_memory import cli, estimate, model, simulate
 from kelly_memory.errors import (
     DimensionMismatch,
     DomainError,
@@ -200,6 +201,18 @@ class TestOlsFit:
         with pytest.raises(SingularDesign):
             estimate.ols_fit(estimate.ObservationSet(data=(1,) * 50, m=1))
 
+    def test_singular_cutoff_is_closed(self, monkeypatch):
+        # A design whose eigenvalue ratio equals the cutoff is singular; one
+        # just above it is not.
+        obs = estimate.ObservationSet(data=(1, -1, -1, 1, 1, 1, -1, 1, -1, -1), m=2)
+        X, _ = estimate.build_regression(obs)
+        eig = np.linalg.eigvalsh(X.T @ X)
+        monkeypatch.setattr(estimate, "_SINGULAR_RTOL", eig[0] / eig[-1])
+        with pytest.raises(SingularDesign):
+            estimate.ols_fit(obs)
+        monkeypatch.setattr(estimate, "_SINGULAR_RTOL", math.nextafter(eig[0] / eig[-1], 0.0))
+        estimate.ols_fit(obs)
+
     def test_collinear_data_singular_at_a_million_rows(self):
         # At period 4, x_{t-3} is -x_{t-1}. The smallest eigenvalue is
         # rounding, about 1e-11, and the largest about 2e6: the test is
@@ -322,13 +335,43 @@ class TestConstrainedFit:
             fit = estimate.constrained_fit(obs)
         except (InsufficientData, SingularDesign, NonConvergence):
             return
+        # The estimate passes as returned and as the CLI prints it.
         model.validate_params(fit.omega_hat)
-        try:
-            model.validate_params(ols.omega_hat)
-        except HyperdiamondViolation:
-            assert fit.projected
-        else:
+        model.validate_params(json.loads(cli.render({"w": fit.omega_hat}, "json", None))["w"])
+        if model.diamond_distance(ols.omega_hat) <= model.DIAMOND_RADIUS - (m + 1) * 1e-12:
             assert fit.iterations == 0 and fit.omega_hat == ols.omega_hat
+        else:
+            assert fit.projected
+
+    @given(w=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_print_slack_covers_the_printed_digits(self, w):
+        # A coefficient below 1 printed to JSON_SIG_DIGITS digits moves by at
+        # most half a unit of its last digit, half of _PRINT_SLACK, and by
+        # half an ulp more when the text is read back.
+        assert estimate._PRINT_SLACK == 10.0**-cli.JSON_SIG_DIGITS
+        printed = json.loads(cli.render({"w": w}, "json", None))["w"]
+        assert abs(printed - w) <= estimate._PRINT_SLACK / 2 + 2**-54
+
+    def test_ols_on_the_target_is_returned(self, monkeypatch):
+        # The target is closed: an OLS point exactly at its radius is kept.
+        obs = estimate.ObservationSet(simulate_outcomes([0.55, 0.20], [1], 2000, 19), m=1)
+        ols = estimate.ols_fit(obs)
+        monkeypatch.setattr(estimate, "DIAMOND_RADIUS", model.diamond_distance(ols.omega_hat))
+        monkeypatch.setattr(estimate, "_PRINT_SLACK", 0.0)
+        fit = estimate.constrained_fit(obs)
+        assert fit.iterations == 0 and fit.omega_hat == ols.omega_hat
+
+    def test_convergence_needs_a_change_below_the_tolerance(self, monkeypatch):
+        # A step whose change equals _PG_TOL does not stop the loop.
+        obs = estimate.ObservationSet(data=(1, 1, 1, -1, 1, -1, 1, 1, -1), m=2)
+        points, project = [], estimate.project_hyperdiamond
+        monkeypatch.setattr(
+            estimate, "project_hyperdiamond", lambda w, r: points.append(project(w, r)) or points[-1]
+        )
+        iterations = estimate.constrained_fit(obs).iterations
+        last = float(np.max(np.abs(points[-1] - points[-2])))
+        monkeypatch.setattr(estimate, "_PG_TOL", last)
+        assert estimate.constrained_fit(obs).iterations > iterations
 
     def test_iteration_cap(self, monkeypatch):
         # This fit converges at its fifth step, within a cap of 5 but not of 4.
@@ -390,6 +433,15 @@ class TestProjectHyperdiamond:
         # NaN and an empty omega used to raise IndexError.
         with pytest.raises(DomainError):
             estimate.project_hyperdiamond(omega, radius)
+
+    @pytest.mark.parametrize(
+        "omega,expected", [([1e300, 1e300], [0.75, 0.25]), ([1e308, 0.0, 0.0], [1.0, 0.0, 0.0])]
+    )
+    def test_huge_entries_keep_the_radius(self, omega, expected):
+        # A threshold near 1e300 used to swallow the radius and give
+        # [0.5, 0.0]; d = u[0] - u is exact, and capped, so [1e308, 0, 0]
+        # does not overflow either.
+        np.testing.assert_array_equal(estimate.project_hyperdiamond(omega, 0.5), expected)
 
     def test_radius_below_rounding(self):
         # The l1 step used to find no qualifying rank and raise IndexError.
@@ -608,18 +660,19 @@ def reference_fit(obs, constrained):
     """The fit by orthogonal factorization of a row-by-row design.
 
     Returns None for a singular design. The constrained fit runs the
-    package's projected gradient from the projected lstsq point.
+    package's projected gradient from the projected lstsq point, onto the
+    hyperdiamond shrunk by 1e-12 per coefficient, with step one over the
+    largest eigenvalue of X'X.
     """
     X, y = bruteforce.regression(obs.data, obs.m)
     s = np.linalg.svd(X, compute_uv=False)
     if s[0] == 0.0 or (s[-1] / s[0]) ** 2 <= 1e-10:
         return None
     w = np.linalg.lstsq(X, y, rcond=None)[0]
-    radius = estimate.DIAMOND_RADIUS
+    radius = estimate.DIAMOND_RADIUS - (obs.m + 1) * 1e-12
     if constrained and abs(w[0] - 0.5) + np.abs(w[1:]).sum() > radius:
-        scale = 2.0 / X.shape[0]
-        gram, xty = scale * (X.T @ X), scale * (X.T @ y)
-        step = 1.0 / estimate._power_lmax(gram)
+        gram, xty = X.T @ X, X.T @ y
+        step = 1.0 / np.linalg.eigvalsh(gram)[-1]
         w = estimate.project_hyperdiamond(w, radius)
         for _ in range(10_000):
             w_next = estimate.project_hyperdiamond(w - step * (gram @ w - xty), radius)

@@ -185,7 +185,8 @@ def test_mutation_sweep_on_a_toy_module(tmp_path, monkeypatch):
 def test_same_output_reports_a_changed_printed_constant(tmp_path, monkeypatch):
     # tools/same_output.py compares what two trees print for the benchmark's
     # commands. This tree against itself differs nowhere; a copy that prints
-    # CSV with 7 digits, not 6, differs in the one CSV command, scenario.
+    # CSV with 7 digits, not 6, differs in the one CSV command, scenario,
+    # first at its first row under the header.
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     same_output = importlib.import_module("same_output")
@@ -209,5 +210,10 @@ def test_same_output_reports_a_changed_printed_constant(tmp_path, monkeypatch):
     assert same_output.differences(src, copy / "src", [1], ("game", "fit"), shapes, out) == 1
     assert out.getvalue().splitlines() == [
         "game seed 1 scenario: stdout differ",
+        "  old line 2: 1,-0.305988,0.0920069,0.0920069,0.439064,-0.422252",
+        "  new line 2: 1,-0.3059884,0.09200693,0.09200693,0.439064,-0.4222523",
         "1 of 6 commands differ",
+    ]
+    assert same_output.first_difference(b"a\nb\n", b"a\nb\nc\n") == [
+        "  old line 3: <no such line>", "  new line 3: c"
     ]

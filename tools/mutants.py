@@ -14,7 +14,7 @@ cannot change what the module does beyond rounding.
 
 Not part of the test suite: on two CPUs, simulate.py took about 16
 minutes alone, and policy.py and model.py 29 together beside it;
-estimate.py took 22. Exits 1 when a survivor is not listed as equivalent.
+estimate.py took 7 alone. Exits 1 when a survivor is not listed as equivalent.
 """
 
 from __future__ import annotations
@@ -54,17 +54,13 @@ EQUIVALENT = {
         "768 * n is never 2**31, since 3 divides the one and not the other",
     ("src/kelly_memory/model.py", "state_space", "m > 1", "m >= 1"):
         "at m = 1 the slice A[:0, 1:] is empty, so the assignment does nothing",
-    ("src/kelly_memory/estimate.py", "constrained_fit", "2.0 / X.shape[0]", "2.0 * X.shape[0]"):
-        "gram, xty and 1/step all carry the scale, which cancels in step * grad up to rounding",
-    ("src/kelly_memory/estimate.py", "_power_lmax",
-     "v /= np.linalg.norm(v)", "v *= np.linalg.norm(v)"):
-        "the first step of the loop normalizes v again, so only rounding differs",
     ("src/kelly_memory/estimate.py", "_project_l1_ball", "a.sum() <= radius", "a.sum() < radius"):
-        "at a.sum() == radius the sorted route gives theta = 0, the same point up to rounding",
+        "at a.sum() == radius the sorted route's kept level is u[0], so every entry comes back"
+        " as a up to rounding",
     ("src/kelly_memory/estimate.py", "_project_l1_ball",
-     "u * ranks > css - radius", "u * ranks >= css - radius"):
-        "at a tie u[r] * (r + 1) == css[r] - radius, ranks r and r - 1 give the same theta"
-        " up to rounding",
+     "cd + radius > ranks * d", "cd + radius >= ranks * d"):
+        "at a tie cd[r] + radius == (r + 1) * d[r], ranks r and r - 1 give the same kept level"
+        " d[r] up to rounding",
     ("src/kelly_memory/policy.py", "PayoffModel.__post_init__",
      "abs(sum(self.frequencies) - 1.0) > 1e-12", "abs(sum(self.frequencies) - 1.0) >= 1e-12"):
         "a sum within 1e-12 of 1 differs from 1 by a multiple of 2**-53, which 1e-12 is not",

@@ -9,8 +9,9 @@ directory. Each tree runs every command as ``python -m kelly_memory`` with
 that tree alone on PYTHONPATH, in the workload's order, so a command that
 reads an earlier command's ``--out`` file reads the one its own tree
 wrote. Exit code, stdout, stderr and the ``--out`` file must be the same
-bytes under both trees. One line is printed per command that differs;
-exits 1 if any does, 0 otherwise. Stdlib only.
+bytes under both trees. One line is printed per command that differs,
+followed, when its stdout differs, by the first differing stdout line of
+each tree; exits 1 if any does, 0 otherwise. Stdlib only.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ def run(commands, src: Path, workdir: Path) -> list[tuple]:
     return results
 
 
+def first_difference(a: bytes, b: bytes) -> list[str]:
+    """The first line at which two outputs differ, as one line for each side."""
+    a_lines, b_lines = a.splitlines(), b.splitlines()
+    i = next((i for i, pair in enumerate(zip(a_lines, b_lines)) if pair[0] != pair[1]),
+             min(len(a_lines), len(b_lines)))
+    return [
+        f"  {side} line {i + 1}: "
+        + (lines[i].decode(errors="replace") if i < len(lines) else "<no such line>")
+        for side, lines in (("old", a_lines), ("new", b_lines))
+    ]
+
+
 def differences(old: Path, new: Path, seeds, names, shapes=None, out=None) -> int:
     """Print one line per command whose output differs; returns how many differ."""
     out = out or sys.stdout
@@ -83,8 +96,10 @@ def differences(old: Path, new: Path, seeds, names, shapes=None, out=None) -> in
                     differ = [field for field, x, y in zip(fields, a, b) if x != y]
                     if differ:
                         count += 1
-                        print(f"{name} seed {seed} {cmd.label}: {', '.join(differ)} differ",
-                              file=out, flush=True)
+                        lines = [f"{name} seed {seed} {cmd.label}: {', '.join(differ)} differ"]
+                        if "stdout" in differ:
+                            lines += first_difference(a[1], b[1])
+                        print(*lines, sep="\n", file=out, flush=True)
     print(f"{count} of {total} commands differ", file=out, flush=True)
     return count
 
