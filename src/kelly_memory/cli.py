@@ -165,7 +165,7 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=".kelly-tmp-")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".kelly-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

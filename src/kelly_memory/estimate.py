@@ -45,6 +45,7 @@ from .errors import (
 from .model import (
     DIAMOND_RADIUS,
     as_numbers,
+    check_memory,
     diamond_distance,
     require_integer,
     require_real,
@@ -146,11 +147,15 @@ def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and response for the linear-probability regression.
 
     Row t targets outcome x_t and holds [1, x_{t-1}, ..., x_{t-m}];
-    the response is y_t = (x_t + 1)/2.
+    the response is y_t = (x_t + 1)/2. A fit is charged what its traced
+    peak holds: per row, X's m + 1 entries, y and two temporaries, 8 bytes
+    each; and 16 (m + 1)^2 for X'X and the copy LAPACK makes of it.
     """
     data, m = obs.data, obs.m
     ell = data.size
     rows = ell - m
+    need = rows * (8 * (m + 1) + 24) + 16 * (m + 1) ** 2
+    check_memory(need, f"{rows} regression rows at depth {m}")
     X = np.ones((rows, m + 1))
     for i in range(1, m + 1):
         X[:, i] = data[m - i : ell - i]

@@ -112,17 +112,22 @@ def require_reals(values, what: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def budget_error(need: int, what: str) -> DomainError:
-    """The error for ``what`` needing ``need`` bytes, more than MEMORY_BUDGET."""
-    # Past 2**1024 bytes the size has no float, so the message gives a bound.
-    size = f"about {need / 2**30:.3g}" if need < 2**1000 else "at least 2**970"
-    return DomainError(f"{what} need {size} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+def check_memory(need: int, what: str) -> int:
+    """The bytes of MEMORY_BUDGET left once ``what`` takes ``need``; DomainError past it.
+
+    The one budget test: every allocation a request sizes is charged here
+    before it is made.
+    """
+    if need > MEMORY_BUDGET:
+        # Past 2**1024 bytes the size has no float, so the message gives a bound.
+        size = f"about {need / 2**30:.3g}" if need < 2**1000 else "at least 2**970"
+        raise DomainError(f"{what} need {size} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
+    return MEMORY_BUDGET - need
 
 
 def check_stages(n: int) -> None:
     """DomainError when a horizon of ``n`` stages, STAGE_BYTES each, exceeds MEMORY_BUDGET."""
-    if STAGE_BYTES * n > MEMORY_BUDGET:
-        raise budget_error(STAGE_BYTES * n, f"{n} bets")
+    check_memory(STAGE_BYTES * n, f"{n} bets")
 
 
 def diamond_distance(omega: Sequence[float]) -> float:
@@ -416,12 +421,15 @@ def state_space(params: MemoryParams, history: History) -> StateSpace:
 
     A carries ones on the superdiagonal and [2 wm, ..., 2 w1] in its last
     row; b = [0, ..., 0, w0 - sum wi]; c selects the last state entry.
+    Charged 40 m^2 bytes, five m x m matrices: the traced peak of building
+    it and calling probability_at.
     """
     if len(history) != params.m:
         raise DimensionMismatch(
             f"history length {len(history)} != memory depth {params.m}"
         )
     m = params.m
+    check_memory(40 * m * m, f"state matrices of depth {m}")
     w = np.asarray(params.omega[1:])
     A = np.zeros((m, m))
     if m > 1:

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import model, policy as policy_mod
 from .errors import DimensionMismatch, DomainError, NumericalError
-from .model import MEMORY_BUDGET, STAGE_BYTES
 
 BLOCK_PATHS = 8192
 # Rows of a block's stream drawn at a time; a piece of 1024 rows of n = 30
@@ -143,11 +142,9 @@ def _workers(n: int, paths: int, per_path: int, held: int) -> int:
     if paths < 1:
         raise DomainError(f"path count must be >= 1, got {paths}")
     worker = _worker_bytes(min(paths, BLOCK_PATHS), n)
-    need = held + per_path * paths + worker
-    if need > MEMORY_BUDGET:
-        raise model.budget_error(need, f"{paths} paths of {n} bets")
+    spare = model.check_memory(held + per_path * paths + worker, f"{paths} paths of {n} bets")
     blocks = -(-paths // BLOCK_PATHS)
-    return min(_usable_cpus(), blocks, 1 + (MEMORY_BUDGET - need) // worker)
+    return min(_usable_cpus(), blocks, 1 + spare // worker)
 
 
 def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
@@ -165,7 +162,7 @@ def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
     per_path = 8 * vectors
     if constants:
         per_path += np.min_scalar_type(n).itemsize
-    return _workers(n, paths, per_path, STAGE_BYTES * n + 8 * _leaf_paths())
+    return _workers(n, paths, per_path, model.STAGE_BYTES * n + 8 * _leaf_paths())
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -273,7 +270,7 @@ def _lerp(lower: float, upper: float, t: float) -> float:
     return lower + d * t if t < 0.5 else upper - d * (1 - t)
 
 
-def _quantiles(x: np.ndarray) -> tuple[float, ...]:
+def _quantiles(x: np.ndarray, top: float) -> tuple[float, ...]:
     """np.quantile(x, _QUANTILES) by one single-kth partition per quantile.
 
     numpy's partition is about ten times slower given several kth at once,
@@ -284,12 +281,12 @@ def _quantiles(x: np.ndarray) -> tuple[float, ...]:
     _lerp, so it equals np.quantile's bit for bit. The one exception is
     the sign of a zero result when x holds both 0.0 and -0.0: which of
     them a partition puts at an index is not fixed, by either method.
-    (Final account values are never -0.0.) Reorders x.
+    (Final account values are never -0.0.) ``top`` is x.max(), which
+    the caller has taken already. Reorders x.
     """
-    if x.size == 1:  # np.quantile's top clamp: every quantile is the one entry
-        return (float(x[0]),) * len(_QUANTILES)
     values = []
-    hi, upper = x.size, None
+    # np.quantile clamps j + 1 to the last index, whose order statistic is top.
+    hi, upper = x.size, float(top)
     for q in reversed(_QUANTILES):
         v = (x.size - 1) * q
         j = math.floor(v)
@@ -320,11 +317,6 @@ def _histogram_quantiles(values: np.ndarray, counts: np.ndarray) -> tuple[float,
         lower, upper = values[np.searchsorted(ends, (j, min(j + 1, size - 1)), side="right")]
         quantiles.append(_lerp(float(lower), float(upper), v - j))
     return tuple(quantiles)
-
-
-def _pieces(size: int):
-    """Slices of at most BLOCK_PATHS entries that cover range(size)."""
-    return (slice(i, i + BLOCK_PATHS) for i in range(0, size, BLOCK_PATHS))
 
 
 def _leaf_paths() -> int:
@@ -421,8 +413,8 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
         # The head counts that occur, and how often; bincount and take read
         # a uint8 or uint16 index as intp, so they take it a piece at a time.
         histogram = np.zeros(n + 1, dtype=np.intp)
-        for piece in _pieces(m_paths):
-            histogram += np.bincount(count[piece], minlength=n + 1)
+        for i in range(0, m_paths, BLOCK_PATHS):
+            histogram += np.bincount(count[i : i + BLOCK_PATHS], minlength=n + 1)
         held = np.flatnonzero(histogram)
         head_counts = np.arange(n + 1.0)
     # Every policy's g = log_vn / n passes through this one buffer, a leaf
@@ -439,7 +431,8 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
             # The sums are done, so the final values may overwrite the log growth.
             with np.errstate(over="ignore"):
                 finals = np.exp(log_vn, out=log_vn)
-            top, quantiles = finals.max(), _quantiles(finals)
+            top = finals.max()
+            quantiles = _quantiles(finals, top)
         else:
             # The log growth after c heads, for every c, by the same steps
             # as on one path: c log1p(k) + (n - c) log1p(-k).

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -845,6 +846,61 @@ class TestRejectedInput:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "m <= 20" in err
+
+
+def run_limited(args):
+    """Run ``python args`` from src/ in a child whose address space is capped at 1 GiB."""
+    def limit():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=limit,
+    )
+
+
+DEEP_REQUESTS = """
+import numpy as np
+from kelly_memory import estimate, model
+obs = estimate.ObservationSet(np.random.default_rng(0).choice([-1, 1], 200_000), 3000)
+params = model.validate_params([0.5] + [1e-6] * 30_000)
+calls = [(fit, obs) for fit in (estimate.build_regression, estimate.ols_fit,
+                                estimate.constrained_fit)]
+calls.append((model.state_space, params, model.History([1] * 30_000)))
+for call, *args in calls:
+    try:
+        call(*args)
+    except model.DomainError as exc:
+        print(call.__name__, exc)
+"""
+
+
+class TestDeepRequests:
+    """A depth that sizes a matrix past the budget is refused before anything
+    is allocated, so a 1 GiB address space is enough to refuse it."""
+
+    def test_deep_estimate_exits_2_with_one_line(self, tmp_path):
+        # It used to ask numpy for 4.40 GiB: a traceback and exit 1.
+        moves = tmp_path / "moves.txt"
+        heads = np.random.default_rng(0).random(200_000) < 0.5
+        moves.write_bytes(np.where(heads, b"+1\n", b"-1\n").tobytes())
+        proc = run_limited(["-m", "kelly_memory", "estimate", str(moves), "--m", "3000"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: 197000 regression rows at depth 3000 need about 4.54 GiB,"
+            " over the 2 GiB budget\n"
+        )
+
+    def test_deep_fits_and_state_spaces_raise_domain_error(self):
+        proc = run_limited(["-c", DEEP_REQUESTS])
+        assert proc.returncode == 0, proc.stderr
+        fit = "197000 regression rows at depth 3000 need about 4.54 GiB, over the 2 GiB budget"
+        state = "state matrices of depth 30000 need about 33.5 GiB, over the 2 GiB budget"
+        assert proc.stdout.splitlines() == [
+            f"build_regression {fit}", f"ols_fit {fit}", f"constrained_fit {fit}",
+            f"state_space {state}",
+        ]
 
 
 GAMES = {

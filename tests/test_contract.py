@@ -9,8 +9,9 @@ SimConfig) is a record built by its own constructor, which has its own
 entry, so junk reaches it there. Every other argument is drawn from valid
 values and from junk: NaN, +-inf, -0.0, bools, numpy scalars, huge and
 negative ints, strings and wrong shapes. Counts stay small or far over
-the memory budget, so no call allocates much. SimConfig's policies are
-drawn as (name, BettorPolicy) pairs, malformed entries or junk.
+the memory budget, so no call allocates much; depths are small, or deep
+enough that a state space or a fit would be far over it. SimConfig's
+policies are drawn as (name, BettorPolicy) pairs, malformed entries or junk.
 
 NUMBER_LISTS names each export that takes a list of numbers: a valid list
 with one entry swapped for a bool must be rejected, not read as 1 or 0.
@@ -57,17 +58,29 @@ FREQUENCIES = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4).map(
     lambda w: [v / sum(w) for v in w]
 )
 PAYOFFS = st.lists(st.floats(-1.0, 5.0), min_size=2, max_size=4)
+# Depths at which a state space (40 m^2 bytes) or a fit, of at least m + 2
+# rows (about 24 m^2 bytes), would need over 20 GiB.
+DEEP = st.integers(30_000, 40_000)
+
+
+def repeated(draw, elements, size):
+    """A list of ``size`` entries: a drawn run of up to 4 of ``elements``, repeated."""
+    run = draw(st.lists(elements, min_size=min(size, 4), max_size=min(size, 4)))
+    return (run * -(-size // len(run)))[:size]
 
 
 @st.composite
 def params(draw):
-    return draw(valid_games(max_depth=4))[0]
+    if draw(st.integers(0, 9)):
+        return draw(valid_games(max_depth=4))[0]
+    m = draw(DEEP)
+    return km.MemoryParams([0.5] + [w / m for w in repeated(draw, st.floats(-0.4, 0.4), m)])
 
 
 @st.composite
 def histories(draw, m=None):
     size = draw(st.integers(1, 4)) if m is None else m
-    return km.History(draw(st.lists(SIGNS, min_size=size, max_size=size)))
+    return km.History(repeated(draw, SIGNS, size))
 
 
 @st.composite
@@ -95,8 +108,11 @@ def payoffs(draw):
 
 @st.composite
 def observations(draw):
-    m = draw(st.integers(1, 3))
-    return km.ObservationSet(draw(st.lists(SIGNS, min_size=m + 1, max_size=60)), m)
+    if draw(st.integers(0, 9)):
+        m = draw(st.integers(1, 3))
+        return km.ObservationSet(draw(st.lists(SIGNS, min_size=m + 1, max_size=60)), m)
+    m = draw(DEEP)
+    return km.ObservationSet(repeated(draw, SIGNS, 2 * m + 2 + draw(COUNT)), m)
 
 
 @st.composite

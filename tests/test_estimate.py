@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,40 @@ class TestBuildRegression:
             count = mask.sum()
             sigma = np.sqrt(expected * (1 - expected) / count)
             assert abs(y[mask].mean() - expected) < 3 * sigma
+
+
+def fit_charge(rows, m):
+    """The bytes build_regression charges a fit of ``rows`` rows at depth ``m``."""
+    return rows * (8 * (m + 1) + 24) + 16 * (m + 1) ** 2
+
+
+class TestFitBudget:
+    FITS = [estimate.build_regression, estimate.ols_fit, estimate.constrained_fit]
+
+    def test_a_fit_is_charged_its_rows_and_its_normal_matrix(self, monkeypatch):
+        obs = estimate.ObservationSet(data=simulate_outcomes([0.55, 0.2], [1], 40, 3), m=3)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(37, 3))
+        for fit in self.FITS:
+            fit(obs)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(37, 3) - 1)
+        for fit in self.FITS:
+            with pytest.raises(DomainError, match="37 regression rows at depth 3 need"):
+                fit(obs)
+
+    @pytest.mark.parametrize("m,size", [(1, 5000), (3, 20_000), (60, 4000), (500, 1002)])
+    @pytest.mark.parametrize("fit", [estimate.ols_fit, estimate.constrained_fit])
+    def test_traced_peak_within_the_charge(self, fit, m, size):
+        # Per row the regression and the residuals dominate; near m rows,
+        # X'X does. Small objects add under 1 KiB whatever the size.
+        obs = estimate.ObservationSet(data=simulate_outcomes([0.5, 0.1], [1], size, m), m=m)
+        fit(obs)  # first-call costs: lazy imports, caches
+        tracemalloc.start()
+        try:
+            fit(obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fit_charge(size - m, m) + 2**10
 
 
 class TestOlsFit:

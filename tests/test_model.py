@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -723,9 +724,55 @@ class TestEnumerationOracle:
 
 class TestBudgetError:
     def test_size_in_gib(self):
-        assert str(model.budget_error(3 * 2**30, "x")) == "x need about 3 GiB, over the 2 GiB budget"
+        with pytest.raises(DomainError) as info:
+            model.check_memory(3 * 2**30, "x")
+        assert str(info.value) == "x need about 3 GiB, over the 2 GiB budget"
 
     def test_size_past_floats_is_a_bound(self):
         # From 2**1000 bytes on, the size in GiB is given as a bound.
-        assert "at least 2**970 GiB" in str(model.budget_error(2**1000, "x"))
-        assert "about 9.98e+291 GiB" in str(model.budget_error(2**1000 - 1, "x"))
+        with pytest.raises(DomainError, match=r"x need at least 2\*\*970 GiB"):
+            model.check_memory(2**1000, "x")
+        with pytest.raises(DomainError, match=r"x need about 9\.98e\+291 GiB"):
+            model.check_memory(2**1000 - 1, "x")
+
+    def test_the_whole_budget_may_be_taken(self):
+        assert model.check_memory(model.MEMORY_BUDGET - 5, "x") == 5
+        assert model.check_memory(model.MEMORY_BUDGET, "x") == 0
+        with pytest.raises(DomainError, match="budget"):
+            model.check_memory(model.MEMORY_BUDGET + 1, "x")
+
+    def test_a_horizon_is_charged_its_stages(self, monkeypatch):
+        spec = make_spec(*SCENARIO_C, n=1000)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", model.STAGE_BYTES * spec.n)
+        assert model.prob_sequence(spec).size == spec.n
+        monkeypatch.setattr(model, "MEMORY_BUDGET", model.STAGE_BYTES * spec.n - 1)
+        with pytest.raises(DomainError, match="1000 bets need"):
+            model.prob_sequence(spec)
+
+    def test_a_state_space_is_charged_five_matrices(self, monkeypatch):
+        params, history = model.validate_params([0.5, 0.1, -0.2, 0.1]), model.History((1, -1, 1))
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 40 * 3 * 3)
+        model.state_space(params, history)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 40 * 3 * 3 - 1)
+        with pytest.raises(DomainError, match="state matrices of depth 3 need"):
+            model.state_space(params, history)
+
+    @pytest.mark.parametrize("m", [50, 200])
+    def test_state_space_traced_peak_within_the_charge(self, m):
+        # Building the realization and reading p_k from it hold about five
+        # m x m matrices; small objects add a few KiB whatever m is.
+        params = model.validate_params([0.5] + [0.4 / m] * m)
+        history = model.History((1, -1) * (m // 2))
+
+        def use():
+            ss = model.state_space(params, history)
+            return ss.probability_at(7), ss.steady_state()
+
+        use()  # first-call costs: lazy imports, caches
+        tracemalloc.start()
+        try:
+            use()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * m * m + 16 * 2**10
