@@ -273,7 +273,7 @@ def cmd_estimate(args) -> str:
 def cmd_ingest(args) -> str:
     prices = estimate.read_prices(args.data)
     moves = estimate.ingest_prices(prices, tie_rule=args.tie)
-    return np.where(moves > 0, b"+1\n", b"-1\n").tobytes().decode("ascii")
+    return estimate.format_moves(moves)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,17 +15,20 @@ sum of squares, whether the fit was constrained and its projected-gradient
 iterations. ``projected`` is derived from those, iterations > 0.
 
 Also provides ingestion of price series into +1/-1 move sequences and the
-file formats consumed by the CLI. Values are parsed by numpy's C text
-reader (a CSV header by the csv module) and the moves are taken in one
-array pass; blank lines are skipped. A file the C reader rejects is read
-again line by line, which names the bad line; a file that cannot be
-decoded as text is reported without a line number.
+file formats consumed by the CLI. An outcome file in exactly the format
+ingest writes, "+1" or "-1" and a line break per move, is read in one
+byte pass. Every other file is parsed by numpy's C text reader (a CSV
+header by the csv module) and the moves are taken in one array pass;
+blank lines are skipped. A file the C reader rejects is read again line
+by line, which names the bad line; a file that cannot be decoded as text
+is reported without a line number.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import stat
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -64,6 +67,11 @@ _PG_MAX_ITER = 10_000
 # fit targets DIAMOND_RADIUS less this per coefficient, so the printed fit is
 # still inside the hyperdiamond.
 _PRINT_SLACK = 1e-12
+
+# A moves file holds one line per move x: the byte 44 - x ("+" for +1, "-"
+# for -1), then _MOVE_TAIL. format_moves writes it, and read_outcomes reads
+# a file of these lines and nothing else in one byte pass.
+_MOVE_TAIL = b"1\n"
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +151,14 @@ def ingest_prices(prices: Sequence[float], tie_rule: str = "drop") -> np.ndarray
     return moves
 
 
+def format_moves(moves: np.ndarray) -> str:
+    """The text of a moves file: "+1" or "-1" and a line break per +1/-1 move."""
+    lines = np.empty((moves.size, 3), np.uint8)
+    np.subtract(44, moves, out=lines[:, 0], casting="unsafe")
+    lines[:, 1], lines[:, 2] = _MOVE_TAIL
+    return lines.tobytes().decode("ascii")
+
+
 def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and response for the linear-probability regression.
 
@@ -156,7 +172,8 @@ def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
     rows = ell - m
     need = rows * (8 * (m + 1) + 24) + 16 * (m + 1) ** 2
     check_memory(need, f"{rows} regression rows at depth {m}")
-    X = np.ones((rows, m + 1))
+    X = np.empty((rows, m + 1))
+    X[:, 0] = 1.0
     for i in range(1, m + 1):
         X[:, i] = data[m - i : ell - i]
     y = (data[m:] + 1) / 2.0
@@ -191,7 +208,9 @@ def _normal_system(obs: ObservationSet) -> _NormalSystem:
 def _fit_result(system: _NormalSystem, w: np.ndarray, constrained: bool, iterations: int):
     """The FitResult of the point ``w`` on a fit's normal system; every fit ends here."""
     X, y = system[:2]
-    rss = float(np.sum((y - X @ w) ** 2))
+    residuals = X @ w
+    np.subtract(y, residuals, out=residuals)
+    rss = float(np.sum(np.square(residuals, out=residuals)))
     return FitResult(tuple(float(v) for v in w), rss, constrained, iterations)
 
 
@@ -288,12 +307,16 @@ def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
     """Read a +1/-1 outcome sequence from a file.
 
     Without ``column`` the file holds one value per line, blank lines
-    skipped; with ``column`` it is parsed as CSV with a header (see
-    ``_read_column``). Values may be coded +1/-1 or 0/1 (auto-detected, 0
-    meaning tail).
+    skipped; a file as ingest writes it is read by ``_read_moves``, any
+    other by ``_read_lines``. With ``column`` it is parsed as CSV with a
+    header (see ``_read_column``). Values may be coded +1/-1 or 0/1
+    (auto-detected, 0 meaning tail).
     """
     path = Path(path)
     if column is None:
+        moves = _read_moves(path)
+        if moves is not None:
+            return moves
         values = _read_lines(path)
     else:
 
@@ -306,6 +329,38 @@ def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
     if values.size == 0:
         raise EmptyResult(f"{path}: no outcome values found")
     return _decode_outcomes(values, str(path))
+
+
+def _read_moves(path: Path) -> np.ndarray | None:
+    """The int64 moves of a regular file that holds only lines as ingest
+    writes them, from one pass over its bytes; None for any other file.
+
+    The bytes and the result, 8 per line, are charged before the read. A
+    path that is not a regular file, or whose size is not a positive
+    multiple of 3, is not read here, and neither is a file whose size
+    changes between its stat and its read.
+    """
+    try:
+        info = path.stat()
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode) or size == 0 or size % 3:
+            return None
+        check_memory(size + 8 * (size // 3), f"{path}: {size // 3} outcome lines")
+        with path.open("rb") as fh:
+            data = fh.read(size + 1)
+    except OSError:
+        return None
+    if len(data) != size:
+        return None
+    lines = np.frombuffer(data, np.uint8).reshape(-1, 3)
+    sign = lines[:, 0]
+    if not (
+        (lines[:, 1] == _MOVE_TAIL[0]).all()
+        and (lines[:, 2] == _MOVE_TAIL[1]).all()
+        and ((sign == ord("+")) | (sign == ord("-"))).all()
+    ):
+        return None
+    return np.subtract(44, sign, dtype=np.int64)
 
 
 def _loadtxt(path: Path, **kwargs) -> np.ndarray | None:

@@ -61,6 +61,48 @@ def outcome_lines(draw):
     return _join(draw, [draw(cells(good, noise)) for _ in range(draw(st.integers(0, 30)))])
 
 
+# What moves_files may do to a file as ingest writes it.
+MOVE_FILE_CHANGES = (
+    "none", "byte", "crlf", "blank", "binary", "no final newline", "bom", "non-ascii", "spaces"
+)
+# Bytes that are not ASCII: UTF-8 text (one a line separator, one a space
+# to str.strip) and bytes that do not decode.
+NON_ASCII = st.sampled_from(
+    ("\u00e9".encode(), "\u2028".encode(), "\u00a0".encode(), b"\xff", b"\x80\x80")
+)
+
+
+@st.composite
+def moves_files(draw):
+    """(bytes, change): 1 to 50 lines of "+1" and "-1" as ingest writes them,
+    then one change from MOVE_FILE_CHANGES ("none" leaves the file as is)."""
+    moves = draw(st.lists(st.sampled_from((b"+1", b"-1")), min_size=1, max_size=50))
+    change = draw(st.sampled_from(MOVE_FILE_CHANGES))
+    end = b"\r\n" if change == "crlf" else b"\n"
+    if change == "binary":
+        moves = [b"1" if line == b"+1" else b"0" for line in moves]
+    if change == "spaces":
+        i = draw(st.integers(0, len(moves) - 1))
+        moves[i] = draw(st.sampled_from((b" ", b"\t", b""))) + moves[i] + draw(
+            st.sampled_from((b" ", b"  ", b"\t"))
+        )
+    data = bytearray(end.join(moves) + end)
+    if change == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        data[i] = draw(st.integers(0, 255).filter(lambda b: b != data[i]))
+    elif change == "blank":
+        i = 3 * draw(st.integers(0, len(moves)))
+        data[i:i] = draw(st.sampled_from((b"\n", b" \n", b"\n\n")))
+    elif change == "no final newline":
+        del data[-1]
+    elif change == "bom":
+        data[:0] = b"\xef\xbb\xbf"
+    elif change == "non-ascii":
+        i = draw(st.integers(0, len(data)))
+        data[i:i] = draw(NON_ASCII)
+    return bytes(data), change
+
+
 @st.composite
 def csv_files(draw, names, good, noise, missing):
     """Text of a CSV file whose header holds one of ``names`` among other columns.

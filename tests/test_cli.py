@@ -514,6 +514,23 @@ class TestIngest:
         assert code == 2
         assert "price" in err
 
+    @settings(deadline=None, max_examples=100)
+    @given(moves=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=200))
+    @example(moves=[1])
+    @example(moves=[-1])
+    def test_lines_are_the_sign_table(self, moves):
+        # Prices 2**level move by exact doublings, so ingest gives back
+        # ``moves``, on stdout and through --out alike.
+        levels = np.concatenate([[0], np.cumsum(moves)]).tolist()
+        text = "price\n" + "".join(f"{2.0 ** k!r}\n" for k in levels)
+        expected = np.where(np.array(moves) > 0, b"+1\n", b"-1\n").tobytes()
+        code, out, err = run_on_file(["ingest", "{data}"], text)
+        assert (code, err) == (0, "") and out.encode() == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "moves.txt"
+            assert run_on_file(["ingest", "{data}", "--out", str(target)], text) == (0, "", "")
+            assert target.read_bytes() == expected
+
     def test_roundtrip_into_estimate(self, capsys, tmp_path):
         prices = [100.0]
         value = 100.0

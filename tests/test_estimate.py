@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import random
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from kelly_memory.errors import (
     NonConvergence,
     SingularDesign,
 )
-from strategies import outcome_files, price_files, valid_games
+from strategies import moves_files, outcome_files, price_files, valid_games
 
 
 def simulate_outcomes(omega, history, n, seed):
@@ -160,6 +162,15 @@ class TestBuildRegression:
         assert X.shape == (1, 4)
         np.testing.assert_allclose(X, [[1, 1, -1, 1]])
         np.testing.assert_allclose(y, [0])
+
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.integers(1, 5), data=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=300))
+    def test_equals_the_row_by_row_design_bit_for_bit(self, m, data):
+        X, y = estimate.build_regression(estimate.ObservationSet(data=data, m=m))
+        X_ref, y_ref = bruteforce.regression(data, m)
+        assert X.dtype == y.dtype == np.float64 and X.flags.c_contiguous
+        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
+        assert y.tobytes() == y_ref.tobytes()
 
     def test_conditional_mean_property(self):
         # Grouped by lag pattern, the mean response should approach the
@@ -625,11 +636,12 @@ def outcome(fn, *args):
 
 
 def in_file(text):
-    """(directory, path): ``text`` written byte for byte to a file in a new
-    temporary directory, removed when the directory is cleaned up."""
+    """(directory, path): ``text`` (str or bytes) written byte for byte to a
+    file in a new temporary directory, removed when the directory is
+    cleaned up."""
     tmp = tempfile.TemporaryDirectory()
     path = Path(tmp.name) / "data.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return tmp, path
 
 
@@ -691,6 +703,81 @@ class TestLoopOracles:
         assert outcome(estimate.read_outcomes, path) == outcome(bruteforce.read_outcomes, path)
 
 
+def read_result(path):
+    """read_outcomes' values with their dtype, or its error's class and whole message."""
+    try:
+        values = estimate.read_outcomes(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return values.dtype, values.tolist()
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this reader must not be reached")
+
+
+class TestMovesFiles:
+    """A file exactly as ingest writes it is read in one byte pass; every
+    other file goes to the line reader, with its values and messages."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(case=moves_files())
+    def test_same_values_or_error_as_the_line_reader(self, case):
+        data, change = case
+        tmp, path = in_file(data)
+        with tmp:
+            got = read_result(path)
+            with mock.patch.object(estimate, "_read_moves", lambda path: None):
+                assert got == read_result(path)
+            try:
+                expected = outcome(bruteforce.read_outcomes, path)
+            except UnicodeDecodeError:
+                expected = InputError, str(path)
+            assert outcome(estimate.read_outcomes, path) == expected
+            if change == "none":
+                with mock.patch.object(estimate, "_loadtxt", refuse):
+                    assert read_result(path) == got
+
+    @settings(deadline=None, max_examples=50)
+    @given(moves=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=50))
+    def test_a_moves_file_never_reaches_numpy_text_reader(self, moves):
+        tmp, path = in_file("".join("+1\n" if x == 1 else "-1\n" for x in moves))
+        with tmp, mock.patch.object(estimate, "_loadtxt", refuse):
+            assert read_result(path) == (np.int64, moves)
+
+    def test_the_read_is_charged_before_it_is_made(self, capsys, tmp_path, monkeypatch):
+        # 100 lines: 300 bytes read and 800 for the int64 moves.
+        path = tmp_path / "moves.txt"
+        path.write_bytes(b"+1\n-1\n" * 50)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 1100)
+        assert read_result(path) == (np.int64, [1, -1] * 50)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 1099)
+        monkeypatch.setattr(Path, "open", refuse)
+        monkeypatch.setattr(estimate, "_loadtxt", refuse)
+        assert cli.main(["estimate", str(path), "--m", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 100 outcome lines need about ")
+        assert captured.err.count("\n") == 1
+
+    def test_an_empty_file_holds_no_outcomes(self, tmp_path):
+        path = tmp_path / "moves.txt"
+        path.write_bytes(b"")
+        assert read_result(path) == (EmptyResult, f"{path}: no outcome values found")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_goes_to_the_line_reader(self):
+        # A pipe's size is not known before it is read, so it is not charged
+        # and read as a moves file; numpy's reader takes it.
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"+1\n-1\n+1\n")
+            os.close(write_end)
+            assert read_result(Path(f"/dev/fd/{read_end}")) == (np.int64, [1, -1, 1])
+        finally:
+            os.close(read_end)
+
+
 def reference_fit(obs, constrained):
     """The fit by orthogonal factorization of a row-by-row design.
 
@@ -746,6 +833,26 @@ class TestSolverEquivalence:
         got = fit(obs)
         np.testing.assert_allclose(got.omega_hat, w, rtol=0, atol=1e-12)
         assert got.rss == pytest.approx(rss, rel=1e-12, abs=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(game=valid_games(max_depth=5), n=st.integers(12, 400), seed=st.integers(0, 2**32 - 1),
+           constrained=st.booleans())
+    def test_bit_for_bit_on_the_row_by_row_design(self, game, n, seed, constrained):
+        # X'X and X'y are sums of integers, so the solve sees the same bits
+        # from either design, and the RSS is (y - X w)^2 summed by numpy.
+        params, history = game
+        spec = model.GameSpec(params=params, history=history, n=n)
+        obs = estimate.ObservationSet(data=simulate.sample_path(spec, stream_seed=seed), m=params.m)
+        assume(len(obs) - obs.m >= obs.m + 2)
+        try:
+            fit = (estimate.constrained_fit if constrained else estimate.ols_fit)(obs)
+        except (SingularDesign, NonConvergence):
+            assume(False)
+        X, y = bruteforce.regression(obs.data, obs.m)
+        w = np.array(fit.omega_hat)
+        assert fit.rss == float(np.sum((y - X @ w) ** 2))
+        if not fit.projected:
+            assert w.tobytes() == np.linalg.solve(X.T @ X, X.T @ y).tobytes()
 
     @pytest.mark.parametrize("fit", [estimate.ols_fit, estimate.constrained_fit])
     @pytest.mark.parametrize(

@@ -69,8 +69,6 @@ EQUIVALENT = {
      "hi - lo < _SEARCH_TOL", "hi - lo <= _SEARCH_TOL"):
         "stopping at a width of exactly _SEARCH_TOL, one halving early, still returns a"
         " point within _SEARCH_TOL of the maximizer",
-    ("src/kelly_memory/cli.py", "cmd_ingest", "moves > 0", "moves >= 0"):
-        "ingest_prices returns only +1 and -1, so no move is 0",
 }
 
 
