@@ -21,7 +21,9 @@ byte pass. Every other file is parsed by numpy's C text reader (a CSV
 header by the csv module) and the moves are taken in one array pass;
 blank lines are skipped. A file the C reader rejects is read again line
 by line, which names the bad line; a file that cannot be decoded as text
-is reported without a line number.
+is reported without a line number. Each reader charges a regular file to
+the memory budget by its size before it parses it; a pipe, whose size is
+not known, is read uncharged.
 """
 
 from __future__ import annotations
@@ -72,6 +74,17 @@ _PRINT_SLACK = 1e-12
 # for -1), then _MOVE_TAIL. format_moves writes it, and read_outcomes reads
 # a file of these lines and nothing else in one byte pass.
 _MOVE_TAIL = b"1\n"
+
+# Bytes a text reader may hold per byte of the file it parses, an upper
+# bound on its tracemalloc peak; a value takes at least 2 bytes, itself and
+# a line break or delimiter. numpy's C reader holds 8 per value for the
+# result, and up to 28 per value (14 per byte) in all while _decode_outcomes
+# takes its masks, copies and np.unique.
+_PARSE_BYTES = 15
+# Read line by line, a 3-byte line of two characters holds about 94 bytes
+# (31.4 per byte): its str in the list of lines, its float in the list of
+# values and its array entry.
+_FALLBACK_BYTES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,17 +392,32 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: cannot decode the file as text ({exc.encoding}: {exc.reason})")
 
 
+def _charge_text(path: Path, per_byte: int) -> None:
+    """Charge ``per_byte`` bytes per byte of a regular file, before a
+    reader parses it; a pipe, or a path that cannot be stat'ed, is not
+    charged."""
+    try:
+        info = path.stat()
+    except OSError:
+        return
+    if stat.S_ISREG(info.st_mode):
+        check_memory(per_byte * info.st_size, f"{path}: {info.st_size} bytes of text")
+
+
 def _read_lines(path: Path) -> np.ndarray:
     """One number per line, parsed by numpy's C reader.
 
     A file it rejects (or reads as more than one column) is read again a
     line at a time with str.splitlines and float, which accept a little
     more (other line breaks, underscores in digits) and otherwise name the
-    first line that is not a number.
+    first line that is not a number. Each read is charged first (see
+    _charge_text).
     """
+    _charge_text(path, _PARSE_BYTES)
     table = _loadtxt(path, ndmin=2)
     if table is not None and table.shape[1] == 1:
         return table[:, 0]
+    _charge_text(path, _FALLBACK_BYTES)
     try:
         text = path.read_text()
     except UnicodeDecodeError as exc:
@@ -430,8 +458,10 @@ def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
     header are parsed by numpy's C reader. A file it rejects is read again
     row by row with the csv module and float: blank rows and empty cells
     are skipped, and a row too short to hold the column, or a cell that
-    is not a number, is an InputError naming the line.
+    is not a number, is an InputError naming the line. Each read is charged
+    first (see _charge_text).
     """
+    _charge_text(path, _PARSE_BYTES)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -440,6 +470,7 @@ def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
             i = {key: index for index, key in enumerate(header)}[name]
             values = _loadtxt(path, quotechar='"', skiprows=reader.line_num, usecols=i, ndmin=1)
             if values is None:
+                _charge_text(path, _FALLBACK_BYTES)
                 values = np.array([float(row[i]) for row in reader if row and row[i]])
             return values
         except UnicodeDecodeError as exc:

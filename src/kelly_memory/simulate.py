@@ -2,14 +2,15 @@
 
 Outcome paths are sampled with the Philox counter-based generator, one
 model.transition_table lookup per step. Paths are processed in fixed
-blocks of ``BLOCK_PATHS``; block b draws its words from
-``Philox(key=seed).jumped(b)``, so every block owns a disjoint,
-scheduling-independent slice of the stream. A block draws its stream in
-pieces of ``PIECE_PATHS`` rows, each transposed to step-major order
-while it is still in cache, and compares the raw words against integer
-limits instead of converting them to uniforms. The blocks are spread
-over one worker thread per usable CPU, and each block writes its own
-rows of the per-path results, so a given (config, seed) pair reproduces
+blocks of ``BLOCK_PATHS``; block b draws its words from the Philox
+stream at counter (0, 0, b, 0), which is ``Philox(key=seed).jumped(b)``,
+so every block owns a disjoint, scheduling-independent slice of the
+stream. A block draws its stream in pieces of ``PIECE_PATHS`` rows, each
+transposed to step-major order while it is still in cache, and compares
+the raw words against integer limits instead of converting them to
+uniforms. The blocks are split statically over one plain thread per
+usable CPU while the caller waits, and each block writes its own rows of
+the per-path results, so a given (config, seed) pair reproduces
 bit-identical results at any thread count. A block is sampled as head
 flags, one row per step. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import reprlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +206,8 @@ def _blocks(limits, state0, n, rows, seed, jobs):
     for b, start, stop in jobs:
         r = stop - start
         # One stream per block; consecutive draws continue it, row by row.
-        bits = np.random.Philox(key=seed).jumped(b)
+        # Counter (0, 0, b, 0) holds the words of jumped(b), from one generator, not two.
+        bits = np.random.Philox(key=seed, counter=(0, 0, b, 0))
         for i in range(0, r, PIECE_PATHS):
             j = min(i + PIECE_PATHS, r)
             np.copyto(words[:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
@@ -224,24 +227,35 @@ def _run_blocks(spec: model.GameSpec, paths: int, seed: int, workers: int, work)
 
     Each thread calls ``work`` once, on a generator of its blocks (see
     _blocks), and writes the rows of the output that those blocks own.
-    Workers call no public function of the package.
+    Workers call no public function of the package. The caller starts the
+    threads and waits for all of them; then it raises the first exception
+    a worker raised, in worker order.
     """
-    # Imported here, so the CLI's start-up does not pay about 8 ms for it.
-    from concurrent.futures import ThreadPoolExecutor
-
     limits = _limits(model.transition_table(spec.params))
     jobs = [
         (b, start, min(start + BLOCK_PATHS, paths))
         for b, start in enumerate(range(0, paths, BLOCK_PATHS))
     ]
     args = (limits, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed)
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [
-            pool.submit(lambda own: work(_blocks(*args, own)), jobs[w::workers])
-            for w in range(workers)
-        ]
-        for future in futures:
-            future.result()
+    errors = [None] * workers
+
+    def run(w):
+        try:
+            work(_blocks(*args, jobs[w::workers]))
+        except BaseException as exc:  # raised again by the caller, below
+            errors[w] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:

@@ -1272,6 +1272,18 @@ def run_python(args, **env):
     )
 
 
+def test_simulate_imports_no_executor_or_logging():
+    # The Monte Carlo's workers are plain threads; concurrent.futures would
+    # bring logging with it, a dozen modules held at simulate's peak.
+    probe = (
+        "import sys; from kelly_memory import cli; "
+        "code = cli.main(['simulate', '--omega', '0.55,0.20', '--history', '+1', "
+        "'--n', '30', '--paths', '20000']); "
+        "print(code, sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    assert run_python(["-c", probe]).stdout.splitlines()[-1] == "0 []"
+
+
 class TestBlasThreads:
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/task")

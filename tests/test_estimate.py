@@ -778,6 +778,118 @@ class TestMovesFiles:
             os.close(read_end)
 
 
+# The bytes a text reader charges per byte of a regular file: numpy's C
+# reader with the outcome decode, and the line-by-line reader.
+PARSE_BYTES, FALLBACK_BYTES = 15, 32
+
+
+_ZERO_ONE = "".join(random.Random(6).choices(("0\n", "1\n"), k=30_000))
+# (reader, text, bytes per byte charged): the files of about 30,000 lines
+# that hold the most per byte on each path.
+WORST_TEXT_FILES = {
+    # One 0/1 value per 2 bytes, decoded.
+    "outcomes": ("outcomes", _ZERO_ONE, PARSE_BYTES),
+    # Every value out of range: the decode sorts them all for its message.
+    "outcomes-bad": ("outcomes", "2\n" * 30_000, PARSE_BYTES),
+    "column": ("column", "o\n" + _ZERO_ONE, PARSE_BYTES),
+    "prices": ("prices", "price\n" + "1\n" * 30_000, PARSE_BYTES),
+    # numpy's reader rejects the underscore, float reads 0_1 as 1. A line of
+    # two characters is the dearest: a single character's str is shared.
+    "outcomes-by-line": ("outcomes", "-1\n" * 30_000 + "0_1\n", FALLBACK_BYTES),
+    "column-by-row": ("column", "o\n" + _ZERO_ONE + "0_1\n", FALLBACK_BYTES),
+    "prices-by-row": ("prices", "price\n" + "1\n" * 30_000 + "0_1\n", FALLBACK_BYTES),
+}
+
+
+def read_text_file(reader, path):
+    if reader == "prices":
+        return estimate.read_prices(path)
+    return estimate.read_outcomes(path, "o" if reader == "column" else None)
+
+
+class TestTextReadersCharged:
+    """A regular file that is not a moves file is charged by its size
+    before numpy's C reader parses it, and again before the line-by-line
+    reader does."""
+
+    @pytest.mark.parametrize(
+        "text,argv,values",
+        [
+            ("1\n0\n" * 500, ["estimate", "--m", "1"], [1, -1] * 500),
+            ("price\n" + "2.5\n1\n" * 500, ["ingest"], [2.5, 1.0] * 500),
+        ],
+        ids=["outcomes", "prices"],
+    )
+    def test_numpy_reader_charged_first(self, text, argv, values, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        size = path.stat().st_size
+        read = estimate.read_prices if argv == ["ingest"] else estimate.read_outcomes
+        monkeypatch.setattr(model, "MEMORY_BUDGET", PARSE_BYTES * size)
+        assert read(path).tolist() == values
+        monkeypatch.setattr(model, "MEMORY_BUDGET", PARSE_BYTES * size - 1)
+        monkeypatch.setattr(estimate, "_loadtxt", refuse)
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {size} bytes of text need about ")
+        assert captured.err.count("\n") == 1
+
+    def test_prices_accepted_at_the_charge_on_the_cli(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "prices.csv"
+        path.write_text("price\n1\n2\n2\n1\n")
+        monkeypatch.setattr(model, "MEMORY_BUDGET", PARSE_BYTES * path.stat().st_size)
+        assert cli.main(["ingest", str(path)]) == 0
+        assert capsys.readouterr().out == "+1\n-1\n"
+
+    @pytest.mark.parametrize("reader", ["outcomes", "column", "prices"])
+    def test_line_by_line_reader_charged_before_it_runs(self, reader, tmp_path, monkeypatch):
+        header = {"outcomes": "", "column": "o\n", "prices": "price\n"}[reader]
+        path = tmp_path / "data.csv"
+        path.write_text(header + "1\n0\n" * 50 + "0_1\n")
+        size = path.stat().st_size
+        monkeypatch.setattr(model, "MEMORY_BUDGET", FALLBACK_BYTES * size)
+        values = read_text_file(reader, path).tolist()
+        assert values == ([1.0, 0.0] * 50 + [1.0] if reader == "prices" else [1, -1] * 50 + [1])
+        monkeypatch.setattr(model, "MEMORY_BUDGET", FALLBACK_BYTES * size - 1)
+        monkeypatch.setattr(Path, "read_text", refuse)
+        with pytest.raises(DomainError, match=f"^{path}: {size} bytes of text need about "):
+            read_text_file(reader, path)
+
+    @pytest.mark.parametrize("case", list(WORST_TEXT_FILES))
+    def test_traced_peak_within_the_charge(self, case, tmp_path):
+        reader, text, per_byte = WORST_TEXT_FILES[case]
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+
+        def read():
+            try:
+                read_text_file(reader, path)
+            except DomainError:
+                assert case == "outcomes-bad"
+
+        read()  # first-call costs: lazy imports, caches
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_byte * path.stat().st_size
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_uncharged(self, monkeypatch):
+        # A pipe's size is not known before it is read.
+        monkeypatch.setattr(model, "MEMORY_BUDGET", 0)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b"0\n1\n1\n")
+            os.close(write_end)
+            assert read_result(Path(f"/dev/fd/{read_end}")) == (np.int64, [-1, 1, 1])
+        finally:
+            os.close(read_end)
+
+
 def reference_fit(obs, constrained):
     """The fit by orthogonal factorization of a row-by-row design.
 

@@ -5,7 +5,9 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -559,8 +561,8 @@ class TestMemoryBudget:
 def block_samplers():
     """Yield a list of the threads that start a worker's blocks inside the with-block.
 
-    A pool thread that finishes its blocks early may take another
-    worker's, so the list has one entry per worker, not per thread.
+    Each worker runs in a thread of its own, so the list has one entry
+    per worker.
     """
     threads, blocks = [], simulate._blocks
 
@@ -655,6 +657,82 @@ class TestBlockParallel:
         assert all(thread is threading.main_thread() for _, thread in callers)
 
 
+class TestWorkerThreads:
+    """_run_blocks starts one plain thread per worker and waits for all of
+    them, as a pool whose every future is read would."""
+
+    # Three blocks over two workers: worker 0 takes blocks 0 and 2, worker 1 block 1.
+    PATHS = 2 * simulate.BLOCK_PATHS + 3
+    SPEC = make_spec([0.55, 0.20], [1], n=5)
+
+    def run(self, monkeypatch, failures):
+        """The error monte_carlo_elg raises on two workers when _blocks
+        raises failures[b] at block b, once no worker thread is left."""
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        config = simulate.SimConfig(
+            spec=self.SPEC, policies=simulate.standard_policies(self.SPEC), paths=self.PATHS
+        )
+        threads, blocks, failed = [], simulate._blocks, threading.Event()
+
+        def failing(*args):
+            threads.append(threading.current_thread())
+            for (b, _, _), block in zip(args[-1], blocks(*args)):
+                if b == 1:
+                    failed.set()
+                else:
+                    # Worker 0 is still busy when worker 1 fails.
+                    assert failed.wait(10)
+                    time.sleep(0.05)
+                if b in failures:
+                    raise failures[b]
+                yield block
+
+        monkeypatch.setattr(simulate, "_blocks", failing)
+        before = threading.active_count()
+        with pytest.raises(BaseException) as raised:
+            simulate.monte_carlo_elg(config)
+        assert threading.active_count() == before
+        assert len(threads) == 2 and not any(thread.is_alive() for thread in threads)
+        return raised.value
+
+    def test_a_helper_thread_error_is_raised_after_every_thread_joins(self, monkeypatch):
+        error = self.run(monkeypatch, {1: ValueError("block 1 failed")})
+        assert type(error) is ValueError and str(error) == "block 1 failed"
+
+    def test_the_first_error_in_worker_order_is_raised(self, monkeypatch):
+        # Worker 1 fails first, but worker 0's error is the one raised.
+        error = self.run(
+            monkeypatch, {1: ValueError("block 1 failed"), 2: KeyError("block 2 failed")}
+        )
+        assert type(error) is KeyError and error.args == ("block 2 failed",)
+
+    def test_threads_started_before_a_failed_start_are_joined(self, monkeypatch):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+                started.append(self)
+
+        monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(Thread=Thread))
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            simulate.sample_paths(self.SPEC, self.PATHS, seed=1)
+        assert threading.active_count() == before
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_no_thread_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        with block_samplers() as threads:
+            simulate.sample_paths(self.SPEC, self.PATHS, seed=1)
+        assert len(threads) == 3
+        assert threading.active_count() == before
+
+
 @st.composite
 def thresholds(draw):
     """Head probabilities t in (0, 1): any, an exact multiple of 2^-53, or a
@@ -688,6 +766,17 @@ class TestRawWordLimits:
         raw = np.random.Philox(key=seed).jumped(block).random_raw(64)
         u = np.random.Generator(np.random.Philox(key=seed).jumped(block)).random(64)
         assert np.array_equal(u, (raw >> np.uint64(11)) * 2.0**-53)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        block=st.sampled_from((0, 1, 5, 122, 1000, 2**18, 2**40)),
+    )
+    def test_block_counter_is_the_jumped_stream(self, seed, block):
+        # _blocks sets block b's counter to (0, 0, b, 0) where the stream's
+        # definition jumps b times; 9 words cross the generator's 4-word buffer.
+        jumped = np.random.Philox(key=seed).jumped(block).random_raw(9)
+        counter = np.random.Philox(key=seed, counter=(0, 0, block, 0)).random_raw(9)
+        assert np.array_equal(counter, jumped)
 
 
 class TestHeadCountWidth:
