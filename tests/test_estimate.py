@@ -813,23 +813,24 @@ class TestTextReadersCharged:
     reader does."""
 
     @pytest.mark.parametrize(
-        "text,argv,values",
+        "text,read,values,command",
         [
-            ("1\n0\n" * 500, ["estimate", "--m", "1"], [1, -1] * 500),
-            ("price\n" + "2.5\n1\n" * 500, ["ingest"], [2.5, 1.0] * 500),
+            ("1\n0\n" * 500, estimate.read_outcomes, [1, -1] * 500, ["estimate", "--m", "1"]),
+            ("price\n" + "2.5\n1\n" * 500, estimate.read_prices, [2.5, 1.0] * 500, ["ingest"]),
         ],
         ids=["outcomes", "prices"],
     )
-    def test_numpy_reader_charged_first(self, text, argv, values, capsys, tmp_path, monkeypatch):
+    def test_numpy_reader_charged_first(
+        self, text, read, values, command, capsys, tmp_path, monkeypatch
+    ):
         path = tmp_path / "data.csv"
         path.write_text(text)
         size = path.stat().st_size
-        read = estimate.read_prices if argv == ["ingest"] else estimate.read_outcomes
         monkeypatch.setattr(model, "MEMORY_BUDGET", PARSE_BYTES * size)
         assert read(path).tolist() == values
         monkeypatch.setattr(model, "MEMORY_BUDGET", PARSE_BYTES * size - 1)
         monkeypatch.setattr(estimate, "_loadtxt", refuse)
-        assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+        assert cli.main([command[0], str(path), *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: {size} bytes of text need about ")
