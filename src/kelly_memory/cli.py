@@ -4,7 +4,8 @@ Subcommands: kelly (optimal fractions), elg (evaluate a policy), simulate
 (Monte Carlo), scenario (three-bettor comparison table), estimate (fit
 coefficients from outcomes), ingest (prices to +1/-1 moves). Output is
 JSON or CSV on stdout, or written atomically to --out. Exit codes: 0
-success, 2 invalid input, 3 numerical failure.
+success, 2 invalid input or a request the process cannot allocate, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -372,6 +373,10 @@ def main(argv=None) -> int:
         return 3
     except (KellyMemoryError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # An allocation the budget admitted but the process cannot get.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -432,8 +432,7 @@ def state_space(params: MemoryParams, history: History) -> StateSpace:
     check_memory(40 * m * m, f"state matrices of depth {m}")
     w = np.asarray(params.omega[1:])
     A = np.zeros((m, m))
-    if m > 1:
-        A[: m - 1, 1:] = np.eye(m - 1)
+    A[: m - 1, 1:] = np.eye(m - 1)
     A[m - 1, :] = 2.0 * w[::-1]
     b = np.zeros(m)
     b[m - 1] = params.omega[0] - w.sum()

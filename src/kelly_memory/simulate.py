@@ -11,8 +11,10 @@ the raw words against integer limits instead of converting them to
 uniforms. The blocks are split statically over one plain thread per
 usable CPU while the caller waits, and each block writes its own rows of
 the per-path results, so a given (config, seed) pair reproduces
-bit-identical results at any thread count. A block is sampled as head
-flags, one row per step. A constant bettor's log growth depends only on
+bit-identical results at any thread count. Each worker holds one buffer
+of n + 1 rows of words: row k + 1 holds step k's words, and step k's
+head flags are written over the start of row k, whose words step k - 1
+has already read. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
 count array, in the narrowest unsigned type that holds n; a vector
 bettor's log growth is summed from the flags into its own array. The
@@ -44,9 +46,9 @@ from . import model, policy as policy_mod
 from .errors import DimensionMismatch, DomainError, NumericalError
 
 BLOCK_PATHS = 8192
-# Rows of a block's stream drawn at a time; a piece of 1024 rows of n = 30
-# words (240 KiB) stays in cache while it is transposed.
-PIECE_PATHS = 1024
+# Rows of a block's stream drawn at a time; a piece of 512 rows of n = 30
+# words (120 KiB) stays in cache while it is transposed.
+PIECE_PATHS = 512
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -121,13 +123,14 @@ def _usable_cpus() -> int:
 def _worker_bytes(rows: int, n: int) -> int:
     """One sampling worker's buffers, for blocks of ``rows`` paths of ``n`` steps.
 
-    Per block cell 9: the raw words in step-major order (8) and the head
-    flags (1). Per cell of one piece, of at most PIECE_PATHS rows, 8: the
-    words as drawn. Per row 40: the state, the limits, the buffer in which
-    np.bitwise_or casts a step's head flags to the state's type, and the
-    vector bettors' index and term (8 each).
+    Per block path 8(n + 1): the words in step-major order, in n + 1 rows
+    that hold the head flags too. Per path of one piece, of at most
+    PIECE_PATHS rows, 8n: the words as drawn. Per block path 24: the
+    state, the limits, which the vector bettors reuse as their index and
+    term, and the buffer in which np.bitwise_or casts a step's head flags
+    to the state's type (8 each).
     """
-    return 9 * rows * n + 8 * min(rows, PIECE_PATHS) * n + 40 * rows
+    return 8 * (n + 1) * rows + 8 * min(rows, PIECE_PATHS) * n + 24 * rows
 
 
 def _workers(n: int, paths: int, per_path: int, held: int) -> int:
@@ -192,14 +195,19 @@ def _limits(table: np.ndarray) -> np.ndarray:
 
 
 def _blocks(limits, state0, n, rows, seed, jobs):
-    """Yield (heads, start, stop) for each (block, start, stop) job, in order.
+    """Yield (heads, start, stop, scratch) for each (block, start, stop) job, in order.
 
-    ``heads`` holds the block's head flags, one row per step; it is
-    overwritten by the next block. The buffers live as long as the
-    generator, and only numpy runs here.
+    One (n + 1, rows) uint64 buffer holds a block. Row k + 1 holds step
+    k's words, and step k's head flags are written into the first bytes of
+    row k, whose words step k - 1 has already read. ``heads`` views those
+    flags, one row per step; the next block overwrites them. ``scratch``
+    is an (intp, float64) pair of rows that the consumer may overwrite:
+    the state and the limits, which the next block sets before it reads
+    them. The buffers live as long as the generator, and only numpy runs
+    here.
     """
-    words = np.empty((n, rows), dtype=np.uint64)
-    heads = np.empty((n, rows), dtype=bool)
+    buffer = np.empty((n + 1, rows), dtype=np.uint64)
+    flags = buffer.view(bool)[:n, :rows]
     state = np.empty(rows, dtype=np.intp)
     limit = np.empty(rows, dtype=np.uint64)
     mask = limits.size - 1
@@ -210,16 +218,16 @@ def _blocks(limits, state0, n, rows, seed, jobs):
         bits = np.random.Philox(key=seed, counter=(0, 0, b, 0))
         for i in range(0, r, PIECE_PATHS):
             j = min(i + PIECE_PATHS, r)
-            np.copyto(words[:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
-        s, t, h = state[:r], limit[:r], heads[:, :r]
+            np.copyto(buffer[1:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
+        s, t, h = state[:r], limit[:r], flags[:, :r]
         s.fill(state0)
         for k in range(n):
             np.take(limits, s, out=t, mode="clip")  # "raise" would buffer the output
-            np.less(words[k, :r], t, out=h[k])
+            np.less(buffer[k + 1, :r], t, out=h[k])
             np.left_shift(s, 1, out=s)
             np.bitwise_or(s, h[k], out=s)
             np.bitwise_and(s, mask, out=s)
-        yield h, start, stop
+        yield h, start, stop, (s, t.view(np.float64))
 
 
 def _run_blocks(spec: model.GameSpec, paths: int, seed: int, workers: int, work) -> None:
@@ -269,7 +277,7 @@ def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     x = np.empty((paths, spec.n), dtype=np.int64)
 
     def write(blocks):
-        for heads, start, stop in blocks:
+        for heads, start, stop, _ in blocks:
             block = x[start:stop]
             np.multiply(heads.T, 2, out=block)
             np.subtract(block, 1, out=block)
@@ -394,7 +402,6 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     vectors = [pol.fractions for _, pol in config.policies if pol.fractions.ndim]
     constants = len(config.policies) - len(vectors)
     workers = check_budget(n, m_paths, constants, len(vectors))
-    rows = min(m_paths, BLOCK_PATHS)
     # Each path's head count, which a constant bettor's log growth depends
     # on alone, and each vector bettor's log growth.
     count = np.empty(m_paths, dtype=np.min_scalar_type(n)) if constants else None
@@ -406,20 +413,19 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     ]
 
     def log_growth(blocks):
-        # A vector bettor's log(V_n / V_0) is summed stage by stage from the left.
-        index, term = np.empty(rows, dtype=np.intp), np.empty(rows)
-        for heads, start, stop in blocks:
+        # A vector bettor's log(V_n / V_0) is summed stage by stage from the
+        # left, through the block's scratch rows.
+        for heads, start, stop, (index, term) in blocks:
             if count is not None:
                 np.add.reduce(
                     heads.view(np.uint8), axis=0, dtype=count.dtype, out=count[start:stop]
                 )
-            i, t = index[: stop - start], term[: stop - start]
             for out, logs in zip(growth, luts):
                 total = out[start:stop]
                 total.fill(0.0)
                 for h, lut in zip(heads, logs):
-                    np.copyto(i, h)
-                    total += np.take(lut, i, out=t, mode="clip")
+                    np.copyto(index, h)
+                    total += np.take(lut, index, out=term, mode="clip")
 
     _run_blocks(spec, m_paths, config.seed, workers, log_growth)
 

@@ -909,6 +909,19 @@ class TestDeepRequests:
             " over the 2 GiB budget\n"
         )
 
+    def test_memory_error_exits_2_with_one_line_and_no_file(self, tmp_path):
+        # 9 bytes per path fit the budget, but not the child's 1 GiB: the
+        # kvec growth array, 992 MiB, fails. It used to end in a traceback.
+        out = tmp_path / "out.json"
+        proc = run_limited([
+            "-m", "kelly_memory", "simulate", "--omega=0.55,0.2", "--history=+1",
+            "--n=30", "--paths=130000000", f"--out={out}",
+        ])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Unable to allocate 992. MiB")
+        assert proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_deep_fits_and_state_spaces_raise_domain_error(self):
         proc = run_limited(["-c", DEEP_REQUESTS])
         assert proc.returncode == 0, proc.stderr

@@ -556,6 +556,34 @@ class TestMemoryBudget:
         assert simulate.check_budget(n, paths, len(policies) - vectors, vectors) == workers
         assert peak <= charge
 
+    @pytest.mark.parametrize("paths", [300, 2 * simulate.BLOCK_PATHS + 3], ids=["piece", "blocks"])
+    @pytest.mark.parametrize("n", [1, 2, 30, 300])
+    def test_worker_peak_within_a_row_of_its_charge(self, n, paths):
+        # _worker_bytes counts a piece's words and np.bitwise_or's cast
+        # buffer (8 bytes per row), which are never held at once, so one
+        # worker's traced peak is at most 8 bytes per row below it. Runs of
+        # one short block, and of two full blocks and a partial one.
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
+        limits = simulate._limits(model.transition_table(spec.params))
+        rows = min(paths, simulate.BLOCK_PATHS)
+        jobs = [
+            (b, start, min(start + rows, paths)) for b, start in enumerate(range(0, paths, rows))
+        ]
+
+        def run():
+            for _ in simulate._blocks(limits, spec.history.state, n, rows, 3, jobs):
+                pass
+
+        run()  # first-call costs
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charge = simulate._worker_bytes(rows, n)
+        assert charge - 8 * rows <= peak <= charge
+
 
 @contextlib.contextmanager
 def block_samplers():
@@ -780,12 +808,13 @@ class TestRawWordLimits:
 
 
 class TestHeadCountWidth:
-    @pytest.mark.parametrize("n", [255, 256, 257])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257])
     @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
     def test_equal_to_block_loop_across_the_count_width(self, n, kinds, monkeypatch):
-        # The head count is uint8 up to n = 255 and uint16 from 256. Small
-        # blocks and pieces give three blocks, split over 1 to 3 workers,
-        # with partial pieces, from few paths. k = 0 bets log1p(-0.0) = -0.0.
+        # The head count is uint8 up to n = 255 and uint16 from 256; at
+        # n = 1 a worker's buffer has two rows. Small blocks and pieces
+        # give three blocks, split over 1 to 3 workers, with partial
+        # pieces, from few paths. k = 0 bets log1p(-0.0) = -0.0.
         monkeypatch.setattr(simulate, "BLOCK_PATHS", 100)
         monkeypatch.setattr(simulate, "PIECE_PATHS", 32)
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)

@@ -49,8 +49,6 @@ MEMORY_LIMIT = 3 * 2**30
 # A mutant's key, as ``keyed`` makes it: why the mutant behaves as the
 # module does.
 EQUIVALENT = {
-    ("src/kelly_memory/model.py", "state_space", "m > 1", "m >= 1"):
-        "at m = 1 the slice A[:0, 1:] is empty, so the assignment does nothing",
     ("src/kelly_memory/estimate.py", "_project_l1_ball", "a.sum() <= radius", "a.sum() < radius"):
         "at a.sum() == radius the sorted route's kept level is u[0], so every entry comes back"
         " as a up to rounding",
