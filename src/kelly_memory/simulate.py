@@ -5,12 +5,13 @@ model.transition_table lookup per step. Paths are processed in fixed
 blocks of ``BLOCK_PATHS``; block b draws its words from the Philox
 stream at counter (0, 0, b, 0), which is ``Philox(key=seed).jumped(b)``,
 so every block owns a disjoint, scheduling-independent slice of the
-stream. A block draws its stream in pieces of ``PIECE_PATHS`` rows, each
-transposed to step-major order while it is still in cache, and compares
-the raw words against integer limits instead of converting them to
-uniforms. The blocks are split statically over one plain thread per
-usable CPU while the caller waits, and each block writes its own rows of
-the per-path results, so a given (config, seed) pair reproduces
+stream. A block draws its stream in pieces of whole rows, at most
+``PIECE_WORDS`` words or one row, each transposed to step-major order
+while it is still in cache, and compares the raw words against integer
+limits instead of converting them to uniforms. The blocks are split
+statically over one plain thread per usable CPU while the caller waits,
+and each block writes its own rows of the per-path results, so a given
+(config, seed) pair reproduces
 bit-identical results at any thread count. Each worker holds one buffer
 of n + 1 rows of words: row k + 1 holds step k's words, and step k's
 head flags are written over the start of row k, whose words step k - 1
@@ -46,9 +47,10 @@ from . import model, policy as policy_mod
 from .errors import DimensionMismatch, DomainError, NumericalError
 
 BLOCK_PATHS = 8192
-# Rows of a block's stream drawn at a time; a piece of 512 rows of n = 30
-# words (120 KiB) stays in cache while it is transposed.
-PIECE_PATHS = 512
+# Words of a block's stream drawn at a time, in whole rows of n words: a
+# piece of 120 KiB (512 rows at n = 30) stays in cache while it is
+# transposed, and at small n a block still takes few draws.
+PIECE_WORDS = 512 * 30
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -125,12 +127,17 @@ def _worker_bytes(rows: int, n: int) -> int:
 
     Per block path 8(n + 1): the words in step-major order, in n + 1 rows
     that hold the head flags too. Per path of one piece, of at most
-    PIECE_PATHS rows, 8n: the words as drawn. Per block path 24: the
+    _piece_rows(n) rows, 8n: the words as drawn. Per block path 24: the
     state, the limits, which the vector bettors reuse as their index and
     term, and the buffer in which np.bitwise_or casts a step's head flags
     to the state's type (8 each).
     """
-    return 8 * (n + 1) * rows + 8 * min(rows, PIECE_PATHS) * n + 24 * rows
+    return 8 * (n + 1) * rows + 8 * min(rows, _piece_rows(n)) * n + 24 * rows
+
+
+def _piece_rows(n: int) -> int:
+    """Rows of n words in a piece: as many as PIECE_WORDS holds, and at least one."""
+    return max(1, PIECE_WORDS // n)
 
 
 def _workers(n: int, paths: int, per_path: int, held: int) -> int:
@@ -210,14 +217,14 @@ def _blocks(limits, state0, n, rows, seed, jobs):
     flags = buffer.view(bool)[:n, :rows]
     state = np.empty(rows, dtype=np.intp)
     limit = np.empty(rows, dtype=np.uint64)
-    mask = limits.size - 1
+    mask, piece = limits.size - 1, _piece_rows(n)
     for b, start, stop in jobs:
         r = stop - start
         # One stream per block; consecutive draws continue it, row by row.
         # Counter (0, 0, b, 0) holds the words of jumped(b), from one generator, not two.
         bits = np.random.Philox(key=seed, counter=(0, 0, b, 0))
-        for i in range(0, r, PIECE_PATHS):
-            j = min(i + PIECE_PATHS, r)
+        for i in range(0, r, piece):
+            j = min(i + piece, r)
             np.copyto(buffer[1:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
         s, t, h = state[:r], limit[:r], flags[:, :r]
         s.fill(state0)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -1331,3 +1332,79 @@ class TestBlasThreads:
         unset = run_python(argv).stdout
         assert json.loads(unset)["projected"] is True
         assert run_python(argv, OPENBLAS_NUM_THREADS="2").stdout == unset
+
+
+KELLY_3 = ("kelly", "--omega=0.55,0.2", "--history=+1", "--n=3")
+
+
+def run_buffered(args, **kwargs):
+    """Run ``python args`` from src/ with stdout block-buffered.
+
+    PYTHONUNBUFFERED is removed from the child's environment, so that
+    what the CLI writes waits in the buffer until it is flushed.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], stderr=subprocess.PIPE, timeout=120,
+        env={**env, "PYTHONPATH": str(src)}, **kwargs,
+    )
+
+
+class TestProcessExit:
+    """entry_point flushes both streams and ends the process with os._exit."""
+
+    def test_closed_stdout_exits_2_with_one_line(self):
+        # fd 1 closed before Python starts leaves sys.stdout None; the write
+        # used to end in an AttributeError traceback and exit 1.
+        proc = run_buffered(
+            ["-m", "kelly_memory", *KELLY_3], stdout=None, preexec_fn=lambda: os.close(1)
+        )
+        assert (proc.returncode, proc.stderr) == (2, b"error: stdout is closed\n")
+
+    @pytest.mark.parametrize("n", ["3", "100000"], ids=["buffered", "written"])
+    def test_broken_pipe_exits_2_with_one_line(self, n):
+        # At n = 3 the output waits in the buffer and only the flush meets
+        # the closed pipe; it used to exit 120 with two lines of "Exception
+        # ignored". At n = 1e5 the write itself fails, inside main.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_buffered(["-m", "kelly_memory", *KELLY_3[:-1], f"--n={n}"], stdout=write)
+        finally:
+            os.close(write)
+        message = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert (proc.returncode, proc.stderr) == (2, message.encode())
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("kelly", "--n=100000"), ("scenario", "--format=csv")],
+        ids=["kelly-1e5", "scenario-csv"],
+    )
+    def test_no_buffered_byte_lost(self, argv, to_file, capsys, tmp_path):
+        # kelly --n 1e5 prints 1.7 MB; scenario's CSV fits in the buffer.
+        argv = [*argv, "--omega=0.55,0.2", "--history=+1"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0
+        out = tmp_path / "out.txt"
+        flags = [f"--out={out}"] * to_file
+        proc = run_buffered(["-m", "kelly_memory", *argv, *flags])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        if to_file:
+            assert proc.stdout == b""
+            assert out.read_bytes() == expected.encode()
+        else:
+            assert proc.stdout == expected.encode()
+
+    def test_atexit_handlers_do_not_run(self):
+        # The interpreter's teardown is skipped; a usage error still exits normally.
+        probe = (
+            "import atexit, sys; atexit.register(print, 'teardown'); "
+            "from kelly_memory import cli; sys.argv[1:] = {!r}; cli.entry_point()"
+        )
+        ran = run_buffered(["-c", probe.format(list(KELLY_3))])
+        assert ran.returncode == 0 and b"teardown" not in ran.stdout
+        usage = run_buffered(["-c", probe.format(["kelly"])])
+        assert usage.returncode == 2 and usage.stdout == b"teardown\n"

@@ -653,6 +653,20 @@ class TestBlockParallel:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("words", [0, 5, 17, 10**9], ids=["floor", "row", "ragged", "block"])
+    def test_piece_size_moves_no_bit(self, words, monkeypatch):
+        # Consecutive draws continue a block's stream, so pieces of any
+        # number of whole rows give the same words; below one row a piece
+        # is still one row.
+        spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=5)
+        config = simulate.SimConfig(
+            spec=spec, policies=simulate.standard_policies(spec),
+            paths=simulate.BLOCK_PATHS + 7, seed=11,
+        )
+        expected = simulate.monte_carlo_elg(config)
+        monkeypatch.setattr(simulate, "PIECE_WORDS", words)
+        assert simulate.monte_carlo_elg(config) == expected
+
     def test_public_functions_run_on_the_main_thread_only(self, monkeypatch):
         # A worker must not call into the package: a tracer that wraps the
         # public functions keeps one stack of open spans, for one thread.
@@ -816,7 +830,7 @@ class TestHeadCountWidth:
         # give three blocks, split over 1 to 3 workers, with partial
         # pieces, from few paths. k = 0 bets log1p(-0.0) = -0.0.
         monkeypatch.setattr(simulate, "BLOCK_PATHS", 100)
-        monkeypatch.setattr(simulate, "PIECE_PATHS", 32)
+        monkeypatch.setattr(simulate, "PIECE_WORDS", 32 * n)
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
         constants = (policy.BettorPolicy.constant(0.0), policy.BettorPolicy.constant(-0.3))
         vectors = (
