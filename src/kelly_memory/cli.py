@@ -371,6 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(message: str) -> None:
+    """Write one error line to stderr; a stderr that is closed or full loses it."""
+    if sys.stderr is None:  # fd 2 was closed when Python started; print would use stdout
+        return
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # nowhere left to report it; the exit code still tells
+        pass
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -378,14 +388,14 @@ def main(argv=None) -> int:
         text = args.func(args)
         _write_output(text, args.out)
     except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 3
     except (KellyMemoryError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
     except MemoryError as exc:
         # An allocation the budget admitted but the process cannot get.
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _report(str(exc) or "out of memory")
         return 2
     return 0
 
@@ -397,8 +407,8 @@ def entry_point() -> None:
     streams are flushed first. A stdout flush that fails, because stdout
     is closed or its reader has gone, becomes one error line and exit 2,
     unless main has reported an error already. Skipping the teardown is
-    safe here: main has closed and renamed its --out file and joined its
-    worker threads before it returns, and the package registers no atexit
+    safe here: main has closed and renamed its --out file before it
+    returns, starts no thread, and the package registers no atexit
     handler. Handlers that the environment registers, such as coverage's,
     do not run. argparse's SystemExit (usage errors, --help) and an
     uncaught exception never reach this point, and exit normally.
@@ -409,7 +419,7 @@ def entry_point() -> None:
             sys.stdout.flush()
     except OSError as exc:
         if code == 0:  # otherwise main has reported its error already
-            print(f"error: {exc}", file=sys.stderr)
+            _report(exc)
             code = 2
     try:
         if sys.stderr is not None:

@@ -8,14 +8,13 @@ so every block owns a disjoint, scheduling-independent slice of the
 stream. A block draws its stream in pieces of whole rows, at most
 ``PIECE_WORDS`` words or one row, each transposed to step-major order
 while it is still in cache, and compares the raw words against integer
-limits instead of converting them to uniforms. The blocks are split
-statically over one plain thread per usable CPU while the caller waits,
-and each block writes its own rows of the per-path results, so a given
-(config, seed) pair reproduces
-bit-identical results at any thread count. Each worker holds one buffer
-of n + 1 rows of words: row k + 1 holds step k's words, and step k's
-head flags are written over the start of row k, whose words step k - 1
-has already read. A constant bettor's log growth depends only on
+limits instead of converting them to uniforms. The blocks run in order
+on the calling thread, and each block writes its own rows of the
+per-path results, so a given (config, seed) pair reproduces
+bit-identical results. The sampler holds one buffer of n + 1 rows of
+words: row k + 1 holds step k's words, and step k's head flags are
+written over the start of row k, whose words step k - 1 has already
+read. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
 count array, in the narrowest unsigned type that holds n; a vector
 bettor's log growth is summed from the flags into its own array. The
@@ -36,9 +35,7 @@ from the table a piece at a time.
 from __future__ import annotations
 
 import math
-import os
 import reprlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +111,8 @@ def require_seed(seed) -> int:
     return seed
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or all of them where affinity is unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on macOS or Windows
-        return os.cpu_count() or 1
-
-
 def _worker_bytes(rows: int, n: int) -> int:
-    """One sampling worker's buffers, for blocks of ``rows`` paths of ``n`` steps.
+    """The sampler's buffers, for blocks of ``rows`` paths of ``n`` steps.
 
     Per block path 8(n + 1): the words in step-major order, in n + 1 rows
     that hold the head flags too. Per path of one piece, of at most
@@ -140,41 +129,34 @@ def _piece_rows(n: int) -> int:
     return max(1, PIECE_WORDS // n)
 
 
-def _workers(n: int, paths: int, per_path: int, held: int) -> int:
-    """Worker threads for a run of ``paths`` paths of ``n`` steps.
+def _check_run(n: int, paths: int, per_path: int, held: int) -> None:
+    """DomainError unless a run of ``paths`` paths of ``n`` steps fits in MEMORY_BUDGET.
 
-    The run holds ``per_path`` bytes per path and ``held`` more besides its
-    workers' buffers; the path count is checked before it is multiplied.
-    The request is accepted when it fits in MEMORY_BUDGET with one worker,
-    so the same request is accepted on every machine. It then gets one
-    worker per usable CPU, but no more workers than blocks, and no more
-    than fit in the budget.
+    The run holds ``per_path`` bytes per path, ``held`` more and the
+    sampler's buffers; the path count is checked before it is multiplied.
     """
     paths = model.require_integer(paths, "path count")
     if paths < 1:
         raise DomainError(f"path count must be >= 1, got {paths}")
-    worker = _worker_bytes(min(paths, BLOCK_PATHS), n)
-    spare = model.check_memory(held + per_path * paths + worker, f"{paths} paths of {n} bets")
-    blocks = -(-paths // BLOCK_PATHS)
-    return min(_usable_cpus(), blocks, 1 + spare // worker)
+    sampler = _worker_bytes(min(paths, BLOCK_PATHS), n)
+    model.check_memory(held + per_path * paths + sampler, f"{paths} paths of {n} bets")
 
 
-def check_budget(n: int, paths: int, constants: int, vectors: int) -> int:
+def check_budget(n: int, paths: int, constants: int, vectors: int) -> None:
     """Reject a request whose monte_carlo_elg allocations could exceed MEMORY_BUDGET.
 
     The run has ``constants`` constant and ``vectors`` vector bettors. The
     byte count is an upper estimate: STAGE_BYTES per stage, the analytic
     layer's bound, which covers the p_k pass and the vector bettors'
-    fractions; the statistics buffer of _leaf_paths() entries; one
-    sampling worker's buffers; and per path 8 for each vector bettor's
-    growth array and the width of the head count once if any bettor is
-    constant. The three standard bettors at n <= 255 hold 9 bytes per
-    path. Returns the number of worker threads the run uses.
+    fractions; the statistics buffer of _leaf_paths() entries; the
+    sampler's buffers; and per path 8 for each vector bettor's growth
+    array and the width of the head count once if any bettor is constant.
+    The three standard bettors at n <= 255 hold 9 bytes per path.
     """
     per_path = 8 * vectors
     if constants:
         per_path += np.min_scalar_type(n).itemsize
-    return _workers(n, paths, per_path, model.STAGE_BYTES * n + 8 * _leaf_paths())
+    _check_run(n, paths, per_path, model.STAGE_BYTES * n + 8 * _leaf_paths())
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -210,8 +192,7 @@ def _blocks(limits, state0, n, rows, seed, jobs):
     flags, one row per step; the next block overwrites them. ``scratch``
     is an (intp, float64) pair of rows that the consumer may overwrite:
     the state and the limits, which the next block sets before it reads
-    them. The buffers live as long as the generator, and only numpy runs
-    here.
+    them. The buffers live as long as the generator.
     """
     buffer = np.empty((n + 1, rows), dtype=np.uint64)
     flags = buffer.view(bool)[:n, :rows]
@@ -237,59 +218,29 @@ def _blocks(limits, state0, n, rows, seed, jobs):
         yield h, start, stop, (s, t.view(np.float64))
 
 
-def _run_blocks(spec: model.GameSpec, paths: int, seed: int, workers: int, work) -> None:
-    """Sample every block of a run, split statically over ``workers`` threads.
-
-    Each thread calls ``work`` once, on a generator of its blocks (see
-    _blocks), and writes the rows of the output that those blocks own.
-    Workers call no public function of the package. The caller starts the
-    threads and waits for all of them; then it raises the first exception
-    a worker raised, in worker order.
-    """
+def _run_blocks(spec: model.GameSpec, paths: int, seed: int):
+    """The blocks of a run of ``paths`` paths, in order, as _blocks yields them."""
     limits = _limits(model.transition_table(spec.params))
     jobs = [
         (b, start, min(start + BLOCK_PATHS, paths))
         for b, start in enumerate(range(0, paths, BLOCK_PATHS))
     ]
-    args = (limits, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed)
-    errors = [None] * workers
-
-    def run(w):
-        try:
-            work(_blocks(*args, jobs[w::workers]))
-        except BaseException as exc:  # raised again by the caller, below
-            errors[w] = exc
-
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
-    try:
-        for thread in threads:
-            thread.start()
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    return _blocks(limits, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed, jobs)
 
 
 def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     """Sample ``paths`` outcome paths as a (paths, n) +1/-1 array.
 
-    The array and one worker's buffers must fit in MEMORY_BUDGET; a larger
+    The array and the sampler's buffers must fit in MEMORY_BUDGET; a larger
     request raises DomainError before anything is allocated.
     """
     seed = require_seed(seed)
-    workers = _workers(spec.n, paths, 8 * spec.n, 0)
+    _check_run(spec.n, paths, 8 * spec.n, 0)
     x = np.empty((paths, spec.n), dtype=np.int64)
-
-    def write(blocks):
-        for heads, start, stop, _ in blocks:
-            block = x[start:stop]
-            np.multiply(heads.T, 2, out=block)
-            np.subtract(block, 1, out=block)
-
-    _run_blocks(spec, paths, seed, workers, write)
+    for heads, start, stop, _ in _run_blocks(spec, paths, seed):
+        block = x[start:stop]
+        np.multiply(heads.T, 2, out=block)
+        np.subtract(block, 1, out=block)
     return x
 
 
@@ -408,7 +359,6 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     spec, m_paths, n = config.spec, config.paths, config.spec.n
     vectors = [pol.fractions for _, pol in config.policies if pol.fractions.ndim]
     constants = len(config.policies) - len(vectors)
-    workers = check_budget(n, m_paths, constants, len(vectors))
     # Each path's head count, which a constant bettor's log growth depends
     # on alone, and each vector bettor's log growth.
     count = np.empty(m_paths, dtype=np.min_scalar_type(n)) if constants else None
@@ -419,22 +369,17 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
         for ks in vectors
     ]
 
-    def log_growth(blocks):
-        # A vector bettor's log(V_n / V_0) is summed stage by stage from the
-        # left, through the block's scratch rows.
-        for heads, start, stop, (index, term) in blocks:
-            if count is not None:
-                np.add.reduce(
-                    heads.view(np.uint8), axis=0, dtype=count.dtype, out=count[start:stop]
-                )
-            for out, logs in zip(growth, luts):
-                total = out[start:stop]
-                total.fill(0.0)
-                for h, lut in zip(heads, logs):
-                    np.copyto(index, h)
-                    total += np.take(lut, index, out=term, mode="clip")
-
-    _run_blocks(spec, m_paths, config.seed, workers, log_growth)
+    # A vector bettor's log(V_n / V_0) is summed stage by stage from the
+    # left, through the block's scratch rows.
+    for heads, start, stop, (index, term) in _run_blocks(spec, m_paths, config.seed):
+        if count is not None:
+            np.add.reduce(heads.view(np.uint8), axis=0, dtype=count.dtype, out=count[start:stop])
+        for out, logs in zip(growth, luts):
+            total = out[start:stop]
+            total.fill(0.0)
+            for h, lut in zip(heads, logs):
+                np.copyto(index, h)
+                total += np.take(lut, index, out=term, mode="clip")
 
     if constants:
         # The head counts that occur, and how often; bincount and take read

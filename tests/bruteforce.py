@@ -5,8 +5,7 @@ walking every outcome path with itertools, never from the p_k recursion or
 any vectorized code under test; price and outcome files are read one line
 and one value at a time, as the package did before its readers were
 vectorized. The Monte Carlo oracle is the block-at-a-time loop simulate ran
-before its sampler and reduction were fused and spread over threads: it
-shares only the stream's definition (model.transition_table, Philox
+before its sampler and reduction were fused: it shares only the stream's definition (model.transition_table, Philox
 jumped once per block) and the result types. The p_k loop and the CLI
 renderer are the versions that ran every stage and formatted every
 value, before the loop stopped at a repeated window and the renderer

@@ -1287,7 +1287,7 @@ def run_python(args, **env):
 
 
 def test_simulate_imports_no_executor_or_logging():
-    # The Monte Carlo's workers are plain threads; concurrent.futures would
+    # The Monte Carlo runs on the calling thread; concurrent.futures would
     # bring logging with it, a dozen modules held at simulate's peak.
     probe = (
         "import sys; from kelly_memory import cli; "
@@ -1346,9 +1346,9 @@ def run_buffered(args, **kwargs):
     src = Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
     return subprocess.run(
-        [sys.executable, *args], stderr=subprocess.PIPE, timeout=120,
-        env={**env, "PYTHONPATH": str(src)}, **kwargs,
+        [sys.executable, *args], timeout=120, env={**env, "PYTHONPATH": str(src)}, **kwargs
     )
 
 
@@ -1376,6 +1376,29 @@ class TestProcessExit:
             os.close(write)
         message = f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
         assert (proc.returncode, proc.stderr) == (2, message.encode())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is full")
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("kelly", "--omega=0.55,0.2", "--history=+1", "--n=-1"), 2),
+            (("simulate", "--omega=0.9,0", "--history=+1", "--n=20000", "--k=0.99",
+              "--paths=10"), 3),
+        ],
+        ids=["invalid", "numerical"],
+    )
+    def test_unwritable_stderr_keeps_the_exit_code(self, argv, code, stderr):
+        # The error line is lost, but the exit code still tells. The print
+        # in main's handler used to raise OSError and end the run in exit 1.
+        if stderr == "closed":
+            proc = run_buffered(
+                ["-m", "kelly_memory", *argv], stderr=None, preexec_fn=lambda: os.close(2)
+            )
+        else:
+            with open("/dev/full", "wb") as full:
+                proc = run_buffered(["-m", "kelly_memory", *argv], stderr=full)
+        assert (proc.returncode, proc.stdout) == (code, b"")
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize(

@@ -1,13 +1,10 @@
-import contextlib
 import hashlib
 import inspect
 import math
 import random
 import sys
 import threading
-import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -473,7 +470,7 @@ class TestMemoryBudget:
             simulate.sample_paths(spec, paths=10**6, seed=0)
 
     def test_sample_paths_charged_for_its_array(self, monkeypatch):
-        # 8 bytes per outcome of the (paths, n) int64 array, and one worker.
+        # 8 bytes per outcome of the (paths, n) int64 array, and the sampler's buffers.
         spec, paths = make_spec([0.55, 0.20], [1], n=10), 1000
         need = 8 * spec.n * paths + simulate._worker_bytes(paths, spec.n)
         monkeypatch.setattr(model, "MEMORY_BUDGET", need)
@@ -482,31 +479,28 @@ class TestMemoryBudget:
         with pytest.raises(DomainError, match="budget"):
             simulate.sample_paths(spec, paths, seed=1)
 
-    def test_workers_shrink_to_fit_the_budget(self, monkeypatch):
+    def test_run_accepted_at_exactly_its_charge(self, monkeypatch):
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=12)
         paths = 2 * simulate.BLOCK_PATHS + 3
-        config = simulate.SimConfig(
-            spec=spec, policies=simulate.standard_policies(spec), paths=paths, seed=5
-        )
-        expected = bruteforce.monte_carlo_elg(config)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-        assert simulate.check_budget(spec.n, paths, 2, 1) == 3
-        worker = simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
+
+        def config():
+            return simulate.SimConfig(
+                spec=spec, policies=simulate.standard_policies(spec), paths=paths, seed=5
+            )
+
+        expected = bruteforce.monte_carlo_elg(config())
         # Per path: kvec's growth and the two constants' shared head count,
-        # 9 bytes; the statistics buffer holds one leaf of the sums.
+        # 9 bytes; the statistics buffer holds one leaf of the sums; and the
+        # sampler's buffers, for full blocks.
         per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize
         assert per_path == 9
         held = model.STAGE_BYTES * spec.n + 8 * simulate._leaf_paths()
-        one = held + per_path * paths + worker
-        for budget, workers in ((one + 2 * worker, 3), (one + worker, 2), (one, 1)):
-            monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
-            assert simulate.check_budget(spec.n, paths, 2, 1) == workers
-            with block_samplers() as threads:
-                assert simulate.monte_carlo_elg(config) == expected
-            assert len(threads) == workers
-        monkeypatch.setattr(model, "MEMORY_BUDGET", one - 1)
+        charge = held + per_path * paths + simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", charge)
+        assert simulate.monte_carlo_elg(config()) == expected
+        monkeypatch.setattr(model, "MEMORY_BUDGET", charge - 1)
         with pytest.raises(DomainError, match="budget"):
-            simulate.check_budget(spec.n, paths, 2, 1)
+            config()
 
     def test_vector_bettors_charged_no_head_count(self, monkeypatch):
         # Only constant bettors share the per-path head count: at a budget
@@ -522,23 +516,21 @@ class TestMemoryBudget:
         with pytest.raises(DomainError, match="budget"):
             simulate.SimConfig(spec=spec, policies=(vector, ("k", CONSTANT_01)), paths=paths)
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
     @pytest.mark.parametrize(
         "n,paths",
         [(30, 2 * simulate.BLOCK_PATHS + 3), (2, 200_000)],
         ids=["block-bound", "path-bound"],
     )
-    def test_traced_peak_within_the_charge(self, n, paths, kinds, workers, monkeypatch):
+    def test_traced_peak_within_the_charge(self, n, paths, kinds):
         # check_budget charges what monte_carlo_elg holds: the run at n = 30
-        # is mostly its workers' buffers, the one at n = 2 mostly per-path
+        # is mostly the sampler's buffers, the one at n = 2 mostly per-path
         # arrays.
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
         constant, vector = policy.BettorPolicy.constant(0.1), policy.kelly_timevarying(spec)
         pair = {"constant": (constant,) * 2, "vector": (vector,) * 2, "mixed": (constant, vector)}
         policies = tuple((f"p{i}", pol) for i, pol in enumerate(pair[kinds]))
         config = simulate.SimConfig(spec=spec, policies=policies, paths=paths, seed=3)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
         simulate.monte_carlo_elg(config)  # first-call costs: lazy imports, caches
         tracemalloc.start()
         try:
@@ -550,11 +542,9 @@ class TestMemoryBudget:
         per_path = 8 * vectors
         if vectors < len(policies):
             per_path += np.min_scalar_type(n).itemsize
-        worker = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)
+        sampler = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)
         held = model.STAGE_BYTES * n + 8 * simulate._leaf_paths()
-        charge = held + per_path * paths + workers * worker
-        assert simulate.check_budget(n, paths, len(policies) - vectors, vectors) == workers
-        assert peak <= charge
+        assert peak <= held + per_path * paths + sampler
 
     @pytest.mark.parametrize("paths", [300, 2 * simulate.BLOCK_PATHS + 3], ids=["piece", "blocks"])
     @pytest.mark.parametrize("n", [1, 2, 30, 300])
@@ -583,24 +573,6 @@ class TestMemoryBudget:
             tracemalloc.stop()
         charge = simulate._worker_bytes(rows, n)
         assert charge - 8 * rows <= peak <= charge
-
-
-@contextlib.contextmanager
-def block_samplers():
-    """Yield a list of the threads that start a worker's blocks inside the with-block.
-
-    Each worker runs in a thread of its own, so the list has one entry
-    per worker.
-    """
-    threads, blocks = [], simulate._blocks
-
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return blocks(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_blocks", recorded)
-        yield threads
 
 
 PATH_COUNTS = (
@@ -640,18 +612,10 @@ class TestBlockParallel:
     def test_equal_to_block_loop_at_any_worker_count(self, config):
         expected = bruteforce.monte_carlo_elg(config)
         expected_paths = bruteforce.sample_paths(config.spec, config.paths, config.seed)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost write
-        try:
-            for workers in (1, 2, 3):
-                with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(simulate, "_usable_cpus", lambda: workers)
-                    assert simulate.monte_carlo_elg(config) == expected
-                    got = simulate.sample_paths(config.spec, config.paths, config.seed)
-                    assert got.dtype == np.int64
-                    assert np.array_equal(got, expected_paths)
-        finally:
-            sys.setswitchinterval(interval)
+        assert simulate.monte_carlo_elg(config) == expected
+        got = simulate.sample_paths(config.spec, config.paths, config.seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected_paths)
 
     @pytest.mark.parametrize("words", [0, 5, 17, 10**9], ids=["floor", "row", "ragged", "block"])
     def test_piece_size_moves_no_bit(self, words, monkeypatch):
@@ -668,8 +632,8 @@ class TestBlockParallel:
         assert simulate.monte_carlo_elg(config) == expected
 
     def test_public_functions_run_on_the_main_thread_only(self, monkeypatch):
-        # A worker must not call into the package: a tracer that wraps the
-        # public functions keeps one stack of open spans, for one thread.
+        # A tracer that wraps the public functions keeps one stack of open
+        # spans, for one thread.
         callers = []
         for module in (model, policy, simulate):
             for name, fn in list(vars(module).items()):
@@ -683,95 +647,30 @@ class TestBlockParallel:
                         return _fn(*args, **kwargs)
 
                     monkeypatch.setattr(module, name, recorded)
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=9)
         paths = 2 * simulate.BLOCK_PATHS + 3
-        with block_samplers() as threads:
-            simulate.monte_carlo_elg(
-                simulate.SimConfig(
-                    spec=spec, policies=simulate.standard_policies(spec), paths=paths
-                )
-            )
-            simulate.sample_paths(spec, paths, seed=4)
-        assert len(threads) == 6 and threading.main_thread() not in threads
+        simulate.monte_carlo_elg(
+            simulate.SimConfig(spec=spec, policies=simulate.standard_policies(spec), paths=paths)
+        )
+        simulate.sample_paths(spec, paths, seed=4)
         names = {name for name, _ in callers}
         assert {"monte_carlo_elg", "sample_paths", "transition_table"} <= names
         assert all(thread is threading.main_thread() for _, thread in callers)
 
 
-class TestWorkerThreads:
-    """_run_blocks starts one plain thread per worker and waits for all of
-    them, as a pool whose every future is read would."""
+    def test_no_run_starts_a_thread(self, monkeypatch):
+        # Every block is sampled on the calling thread.
+        def refused(thread):
+            raise AssertionError(f"a Monte Carlo run started {thread!r}")
 
-    # Three blocks over two workers: worker 0 takes blocks 0 and 2, worker 1 block 1.
-    PATHS = 2 * simulate.BLOCK_PATHS + 3
-    SPEC = make_spec([0.55, 0.20], [1], n=5)
-
-    def run(self, monkeypatch, failures):
-        """The error monte_carlo_elg raises on two workers when _blocks
-        raises failures[b] at block b, once no worker thread is left."""
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        config = simulate.SimConfig(
-            spec=self.SPEC, policies=simulate.standard_policies(self.SPEC), paths=self.PATHS
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        spec = make_spec([0.55, 0.20], [1], n=5)
+        paths = 2 * simulate.BLOCK_PATHS + 3
+        before = threading.active_count()
+        simulate.monte_carlo_elg(
+            simulate.SimConfig(spec=spec, policies=simulate.standard_policies(spec), paths=paths)
         )
-        threads, blocks, failed = [], simulate._blocks, threading.Event()
-
-        def failing(*args):
-            threads.append(threading.current_thread())
-            for (b, _, _), block in zip(args[-1], blocks(*args)):
-                if b == 1:
-                    failed.set()
-                else:
-                    # Worker 0 is still busy when worker 1 fails.
-                    assert failed.wait(10)
-                    time.sleep(0.05)
-                if b in failures:
-                    raise failures[b]
-                yield block
-
-        monkeypatch.setattr(simulate, "_blocks", failing)
-        before = threading.active_count()
-        with pytest.raises(BaseException) as raised:
-            simulate.monte_carlo_elg(config)
-        assert threading.active_count() == before
-        assert len(threads) == 2 and not any(thread.is_alive() for thread in threads)
-        return raised.value
-
-    def test_a_helper_thread_error_is_raised_after_every_thread_joins(self, monkeypatch):
-        error = self.run(monkeypatch, {1: ValueError("block 1 failed")})
-        assert type(error) is ValueError and str(error) == "block 1 failed"
-
-    def test_the_first_error_in_worker_order_is_raised(self, monkeypatch):
-        # Worker 1 fails first, but worker 0's error is the one raised.
-        error = self.run(
-            monkeypatch, {1: ValueError("block 1 failed"), 2: KeyError("block 2 failed")}
-        )
-        assert type(error) is KeyError and error.args == ("block 2 failed",)
-
-    def test_threads_started_before_a_failed_start_are_joined(self, monkeypatch):
-        started = []
-
-        class Thread(threading.Thread):
-            def start(self):
-                if started:
-                    raise RuntimeError("can't start new thread")
-                super().start()
-                started.append(self)
-
-        monkeypatch.setattr(simulate, "threading", types.SimpleNamespace(Thread=Thread))
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="can't start new thread"):
-            simulate.sample_paths(self.SPEC, self.PATHS, seed=1)
-        assert threading.active_count() == before
-        assert len(started) == 1 and not started[0].is_alive()
-
-    def test_no_thread_outlives_a_run(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
-        before = threading.active_count()
-        with block_samplers() as threads:
-            simulate.sample_paths(self.SPEC, self.PATHS, seed=1)
-        assert len(threads) == 3
+        simulate.sample_paths(spec, paths, seed=1)
         assert threading.active_count() == before
 
 
@@ -826,9 +725,9 @@ class TestHeadCountWidth:
     @pytest.mark.parametrize("kinds", ["constant", "vector", "mixed"])
     def test_equal_to_block_loop_across_the_count_width(self, n, kinds, monkeypatch):
         # The head count is uint8 up to n = 255 and uint16 from 256; at
-        # n = 1 a worker's buffer has two rows. Small blocks and pieces
-        # give three blocks, split over 1 to 3 workers, with partial
-        # pieces, from few paths. k = 0 bets log1p(-0.0) = -0.0.
+        # n = 1 the sampler's buffer has two rows. Small blocks and pieces
+        # give three blocks, with partial pieces, from few paths. k = 0
+        # bets log1p(-0.0) = -0.0.
         monkeypatch.setattr(simulate, "BLOCK_PATHS", 100)
         monkeypatch.setattr(simulate, "PIECE_WORDS", 32 * n)
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
@@ -845,10 +744,7 @@ class TestHeadCountWidth:
             seed=n,
         )
         assert np.min_scalar_type(n).itemsize == (1 if n < 256 else 2)
-        expected = bruteforce.monte_carlo_elg(config)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
-            assert simulate.monte_carlo_elg(config) == expected
+        assert simulate.monte_carlo_elg(config) == bruteforce.monte_carlo_elg(config)
 
 
 class TestMonteCarloElg:

@@ -102,7 +102,7 @@ def test_readme_bytes_per_path_is_the_budget_charge(monkeypatch):
     stated = re.findall(r"three standard bettors hold (\d+) bytes per path", text)
     charged = []
     monkeypatch.setattr(
-        simulate, "_workers", lambda n, paths, per_path, held: charged.append(per_path)
+        simulate, "_check_run", lambda n, paths, per_path, held: charged.append(per_path)
     )
     simulate.check_budget(255, 1, constants=2, vectors=1)
     assert stated == [str(charged[0])]
