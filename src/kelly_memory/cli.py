@@ -175,14 +175,17 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         return
     target = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".kelly-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".kelly-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the user's path, not the temp file's
+        raise OSError(exc.errno, exc.strerror, out) from None
 
 
 def _game_spec(args) -> model.GameSpec:

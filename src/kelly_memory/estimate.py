@@ -2,17 +2,19 @@
 
 The linear-probability regression uses response y_t = (x_t + 1)/2 against
 an intercept and the m lagged outcomes, so the coefficient vector is
-exactly (w0, w1, ..., wm). Each fit builds the regression once and solves
-its normal equations X'X w = X'y; with outcomes in {-1, +1} and responses
-in {0, 1} both sides are sums of integers, so they are formed exactly.
-The optionally constrained fit keeps the estimate inside the hyperdiamond
+exactly (w0, w1, ..., wm). Each fit forms the normal equations
+X'X w = X'y once, and never the design matrix: with outcomes in {-1, +1}
+and responses in {0, 1} both sides are sums of integers, which
+build_regression takes exactly from lag sums of the outcomes. The
+optionally constrained fit keeps the estimate inside the hyperdiamond
 via projected gradient descent on the same system, with an exact l1-ball
 projection in the coordinates shifted by the diamond center, onto a radius
 shrunk by _PRINT_SLACK per coefficient so that the estimate stays inside
-once the CLI prints it to 12 significant digits. Every fit
-ends in one FitResult, built in one place: the coefficients, the residual
-sum of squares, whether the fit was constrained and its projected-gradient
-iterations. ``projected`` is derived from those, iterations > 0.
+once the CLI prints it to 12 significant digits. Every fit ends in one
+FitResult, built in one place: the coefficients, the residual sum of
+squares, formed exactly from the normal equations and rounded once,
+whether the fit was constrained and its projected-gradient iterations.
+``projected`` is derived from those, iterations > 0.
 
 Also provides ingestion of price series into +1/-1 move sequences and the
 file formats consumed by the CLI. An outcome file in exactly the format
@@ -33,6 +35,7 @@ import math
 import stat
 import warnings
 from dataclasses import dataclass, replace
+from operator import mul
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -173,57 +176,87 @@ def format_moves(moves: np.ndarray) -> str:
 
 
 def build_regression(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
-    """Design matrix and response for the linear-probability regression.
+    """The normal equations X'X, X'y of the linear-probability regression,
+    formed from lag sums of the outcomes, without X or y.
 
-    Row t targets outcome x_t and holds [1, x_{t-1}, ..., x_{t-m}];
-    the response is y_t = (x_t + 1)/2. A fit is charged what its traced
-    peak holds: per row, X's m + 1 entries, y and two temporaries, 8 bytes
-    each; and 16 (m + 1)^2 for X'X and the copy LAPACK makes of it.
+    Row t of the regression, for t = m, ..., len - 1, holds
+    [1, x_{t-1}, ..., x_{t-m}] and targets y_t = (x_t + 1)/2. Let L[i, j]
+    be the sum over the rows of x_{t-i} x_{t-j}, for i, j = 0, ..., m. Its
+    first row, the lag-d sums of x_t x_{t-d}, takes one pass over a byte
+    per outcome each. Moving both lags back by one drops the last row's
+    term and adds the one before the first row, so
+    L[i + 1, j + 1] = L[i, j] + x_{m-1-i} x_{m-1-j} - x_{len-1-i} x_{len-1-j},
+    and the rest of L comes from the first and last m outcomes. The sums
+    of the lag columns, s[j] = sum of x_{t-j}, follow the same step. X'X
+    is L with s in its first row and column past the corner, which holds
+    the row count, and 2 X'y = L[0] + s. Every entry is an integer below
+    2^53, so both are exact: the float64 bits of X.T @ X and X.T @ y.
+
+    A fit is charged what its traced peak holds: two bytes per outcome,
+    for the byte array and one lag pass's comparison; 24 (m + 1)^2, for L
+    and X'X, or X'X and the copy LAPACK makes of it, and the exact RSS's
+    lists of m + 1 integers; and 4 KiB of small objects.
     """
     data, m = obs.data, obs.m
     ell = data.size
     rows = ell - m
-    need = rows * (8 * (m + 1) + 24) + 16 * (m + 1) ** 2
-    check_memory(need, f"{rows} regression rows at depth {m}")
-    X = np.empty((rows, m + 1))
-    X[:, 0] = 1.0
-    for i in range(1, m + 1):
-        X[:, i] = data[m - i : ell - i]
-    y = (data[m:] + 1) / 2.0
-    return X, y
+    check_memory(2 * ell + 24 * (m + 1) ** 2 + 2**12, f"{rows} regression rows at depth {m}")
+    heads = data == 1
+    now = heads[m:]
+    lags = np.empty((m + 1, m + 1), np.int64)  # L, which is symmetric
+    lags[0] = lags[:, 0] = [
+        2 * np.count_nonzero(now == heads[m - d : ell - d]) - rows for d in range(m + 1)
+    ]
+    # x_{m-1}, ..., x_0 and x_{len-1}, ..., x_{len-m}: the terms a step adds and drops.
+    before, last = data[m - 1 :: -1], data[: rows - 1 : -1]
+    for i in range(m):
+        np.add(lags[i, :-1], before[i] * before - last[i] * last, out=lags[i + 1, 1:])
+    sums = 2 * np.count_nonzero(now) - rows + np.insert(np.cumsum(before - last), 0, 0)
+    gram = lags.astype(np.float64)
+    gram[0, 1:] = gram[1:, 0] = sums[1:]
+    return gram, (lags[0] + sums) / 2.0
 
 
-# A fit's regression X, y, its normal equations gram @ w = xty and the
-# largest eigenvalue of gram.
-_NormalSystem = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]
+# A fit's normal equations gram @ w = xty and the largest eigenvalue of gram.
+_NormalSystem = tuple[np.ndarray, np.ndarray, float]
 
 
 def _normal_system(obs: ObservationSet) -> _NormalSystem:
-    """(X, y, X'X, X'y, largest eigenvalue of X'X), the regression built once;
-    raises InsufficientData below m + 2 rows and SingularDesign when the
-    system cannot be solved."""
+    """(X'X, X'y, largest eigenvalue of X'X), built once per fit from
+    build_regression; raises InsufficientData below m + 2 rows and
+    SingularDesign when the system cannot be solved."""
     if len(obs) - obs.m < obs.m + 2:
         raise InsufficientData(
             f"need at least {2 * obs.m + 2} observations at depth {obs.m}, "
             f"got {len(obs)}"
         )
-    X, y = build_regression(obs)
-    gram = X.T @ X
+    gram, xty = build_regression(obs)
     # gram[0, 0] is the row count, and the largest eigenvalue is at least that.
     eig = np.linalg.eigvalsh(gram)
     if eig[0] / eig[-1] <= _SINGULAR_RTOL:
         raise SingularDesign(
             "normal system is numerically singular (constant or collinear data)"
         )
-    return X, y, gram, X.T @ y, float(eig[-1])
+    return gram, xty, float(eig[-1])
 
 
 def _fit_result(system: _NormalSystem, w: np.ndarray, constrained: bool, iterations: int):
-    """The FitResult of the point ``w`` on a fit's normal system; every fit ends here."""
-    X, y = system[:2]
-    residuals = X @ w
-    np.subtract(y, residuals, out=residuals)
-    rss = float(np.sum(np.square(residuals, out=residuals)))
+    """The FitResult of the point ``w`` on a fit's normal system; every fit ends here.
+
+    The RSS, sum over rows of (y_t - row_t w)^2, is y'y - 2 w'X'y + w'X'X w
+    with y'y = X'y[0], since each y_t is 0 or 1. X'X and X'y hold integers,
+    and each w_i is a_i / scale for integers a_i and a power of two, so the
+    sum is formed exactly in Python integers and rounded once, by one
+    integer division. It costs O(m^2) integer products, one row of X'X at
+    a time.
+    """
+    gram, xty = system[:2]
+    ratios = [v.as_integer_ratio() for v in w.tolist()]
+    scale = max(den for _, den in ratios)
+    a = [num * (scale // den) for num, den in ratios]
+    q = xty.astype(np.int64).tolist()
+    wgw = sum(ai * sum(map(mul, row.astype(np.int64).tolist(), a)) for ai, row in zip(a, gram))
+    rss = (q[0] * scale**2 - 2 * scale * sum(map(mul, a, q)) + wgw) / scale**2
     return FitResult(tuple(float(v) for v in w), rss, constrained, iterations)
 
 
@@ -234,7 +267,7 @@ def ols_fit(obs: ObservationSet, system: _NormalSystem | None = None) -> FitResu
     already built it (constrained_fit does).
     """
     system = _normal_system(obs) if system is None else system
-    _, _, gram, xty, _ = system
+    gram, xty, _ = system
     return _fit_result(system, np.linalg.solve(gram, xty), False, 0)
 
 
@@ -256,7 +289,7 @@ def constrained_fit(obs: ObservationSet) -> FitResult:
     if diamond_distance(ols.omega_hat) <= radius:
         return replace(ols, constrained=True)
 
-    _, _, gram, xty, lmax = system
+    gram, xty, lmax = system
     step = 1.0 / lmax
     w = project_hyperdiamond(ols.omega_hat, radius)
     for iteration in range(1, _PG_MAX_ITER + 1):

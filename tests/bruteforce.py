@@ -9,7 +9,8 @@ before its sampler and reduction were fused: it shares only the stream's definit
 jumped once per block) and the result types. The p_k loop and the CLI
 renderer are the versions that ran every stage and formatted every
 value, before the loop stopped at a repeated window and the renderer
-formatted each distinct value once.
+formatted each distinct value once. The regression is built row by row,
+and its residual sum of squares is summed in exact rationals.
 """
 
 import csv
@@ -17,6 +18,7 @@ import itertools
 import json
 import math
 from collections import deque
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
@@ -172,6 +174,18 @@ def regression(data, m):
     X = [[1.0] + [float(data[t - i]) for i in range(1, m + 1)] for t in range(m, len(data))]
     y = [(data[t] + 1) / 2 for t in range(m, len(data))]
     return np.array(X), np.array(y)
+
+
+def exact_rss(data, m, w):
+    """The residual sum of squares of the coefficients ``w`` over the rows of
+    ``regression(data, m)``, summed exactly as a Fraction."""
+    X, y = regression(data, m)
+    w = [Fraction(v) for v in w]
+    return sum(
+        ((Fraction(target) - sum(map(mul, map(int, row), w))) ** 2
+         for row, target in zip(X.tolist(), y.tolist())),
+        Fraction(0),
+    )
 
 
 def sample_blocks(spec, paths, seed):

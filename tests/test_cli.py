@@ -587,6 +587,17 @@ class TestOutputFiles:
         assert [p.name for p in target.iterdir()] == ["kept.txt"]
         assert (target / "kept.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("name,code", [("missing/x.json", errno.ENOENT), ("taken", errno.EISDIR)])
+    def test_a_failed_write_names_the_given_path(self, capsys, tmp_path, monkeypatch, name, code):
+        # Not the random name of the temp file it writes first.
+        monkeypatch.chdir(tmp_path)
+        Path("moves.txt").write_text("+1\n-1\n+1\n+1\n-1\n")
+        Path("taken").mkdir()
+        result = run(capsys, "estimate", "moves.txt", "--m", "1", "--out", name)
+        assert result == (2, "", f"error: [Errno {code}] {os.strerror(code)}: {name!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["moves.txt", "taken"]
+        assert list(Path("taken").iterdir()) == []
+
     def test_precision_flag(self, capsys):
         code, out, _ = run(
             capsys,
@@ -881,7 +892,7 @@ def run_limited(args):
 DEEP_REQUESTS = """
 import numpy as np
 from kelly_memory import estimate, model
-obs = estimate.ObservationSet(np.random.default_rng(0).choice([-1, 1], 200_000), 3000)
+obs = estimate.ObservationSet(np.random.default_rng(0).choice([-1, 1], 200_000), 10_000)
 params = model.validate_params([0.5] + [1e-6] * 30_000)
 calls = [(fit, obs) for fit in (estimate.build_regression, estimate.ols_fit,
                                 estimate.constrained_fit)]
@@ -899,14 +910,16 @@ class TestDeepRequests:
     is allocated, so a 1 GiB address space is enough to refuse it."""
 
     def test_deep_estimate_exits_2_with_one_line(self, tmp_path):
-        # It used to ask numpy for 4.40 GiB: a traceback and exit 1.
+        # X'X of depth 10,000 alone is 763 MiB, and the fit's copies of it
+        # are charged too; before the charge a deep fit ended in a traceback
+        # and exit 1.
         moves = tmp_path / "moves.txt"
         heads = np.random.default_rng(0).random(200_000) < 0.5
         moves.write_bytes(np.where(heads, b"+1\n", b"-1\n").tobytes())
-        proc = run_limited(["-m", "kelly_memory", "estimate", str(moves), "--m", "3000"])
+        proc = run_limited(["-m", "kelly_memory", "estimate", str(moves), "--m", "10000"])
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: 197000 regression rows at depth 3000 need about 4.54 GiB,"
+            "error: 190000 regression rows at depth 10000 need about 2.24 GiB,"
             " over the 2 GiB budget\n"
         )
 
@@ -926,7 +939,7 @@ class TestDeepRequests:
     def test_deep_fits_and_state_spaces_raise_domain_error(self):
         proc = run_limited(["-c", DEEP_REQUESTS])
         assert proc.returncode == 0, proc.stderr
-        fit = "197000 regression rows at depth 3000 need about 4.54 GiB, over the 2 GiB budget"
+        fit = "190000 regression rows at depth 10000 need about 2.24 GiB, over the 2 GiB budget"
         state = "state matrices of depth 30000 need about 33.5 GiB, over the 2 GiB budget"
         assert proc.stdout.splitlines() == [
             f"build_regression {fit}", f"ols_fit {fit}", f"constrained_fit {fit}",

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bruteforce
 from kelly_memory import cli, estimate, model, simulate
@@ -143,34 +143,56 @@ class TestObservationSet:
         assert obs.data.tolist() == [1, -1, 1, 1]
 
 
+def regression(obs):
+    """The row-by-row design X, y of ``obs``, once build_regression's normal
+    equations are checked to be its X'X and X'y, byte for byte."""
+    X, y = bruteforce.regression(obs.data, obs.m)
+    gram, xty = estimate.build_regression(obs)
+    assert gram.dtype == xty.dtype == np.float64 and gram.flags.c_contiguous
+    assert gram.shape == (obs.m + 1,) * 2 and gram.tobytes() == (X.T @ X).tobytes()
+    assert xty.shape == (obs.m + 1,) and xty.tobytes() == (X.T @ y).tobytes()
+    return X, y
+
+
+@st.composite
+def lagged_outcomes(draw):
+    """(data, m) at m = 1-8: every length from one row (m + 1 outcomes) to
+    3m + 2, where the first and last m outcomes overlap or nearly meet, and
+    longer runs."""
+    m = draw(st.integers(1, 8))
+    size = draw(st.integers(m + 1, 3 * m + 2) | st.integers(3 * m + 2, 300))
+    return draw(st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size)), m
+
+
 class TestBuildRegression:
     def test_hand_example(self):
         obs = estimate.ObservationSet(data=(1, -1, 1, -1), m=1)
-        X, y = estimate.build_regression(obs)
+        X, y = regression(obs)
         np.testing.assert_allclose(X, [[1, 1], [1, -1], [1, 1]])
         np.testing.assert_allclose(y, [0, 1, 0])
+        assert [a.tolist() for a in estimate.build_regression(obs)] == [[[3, 1], [1, 3]], [1, -1]]
 
     def test_all_heads(self):
         obs = estimate.ObservationSet(data=(1,) * 6, m=1)
-        X, y = estimate.build_regression(obs)
+        X, y = regression(obs)
         assert np.all(y == 1)
         assert np.all(X[:, 1] == 1)
 
     def test_single_row_boundary(self):
         obs = estimate.ObservationSet(data=(1, -1, 1, -1), m=3)
-        X, y = estimate.build_regression(obs)
+        X, y = regression(obs)
         assert X.shape == (1, 4)
         np.testing.assert_allclose(X, [[1, 1, -1, 1]])
         np.testing.assert_allclose(y, [0])
 
-    @settings(deadline=None, max_examples=100)
-    @given(m=st.integers(1, 5), data=st.lists(st.sampled_from((1, -1)), min_size=6, max_size=300))
-    def test_equals_the_row_by_row_design_bit_for_bit(self, m, data):
-        X, y = estimate.build_regression(estimate.ObservationSet(data=data, m=m))
-        X_ref, y_ref = bruteforce.regression(data, m)
-        assert X.dtype == y.dtype == np.float64 and X.flags.c_contiguous
-        assert X.shape == X_ref.shape and X.tobytes() == X_ref.tobytes()
-        assert y.tobytes() == y_ref.tobytes()
+    @settings(deadline=None, max_examples=300)
+    @given(case=lagged_outcomes())
+    @example(case=([1, -1], 1)).via("one row")
+    @example(case=([-1] * 9, 8)).via("one row, all tails")
+    @example(case=([1, 1, -1, 1, -1, -1, 1, 1, 1, -1, 1], 5)).via("first and last m overlap")
+    def test_equals_the_row_by_row_design_bit_for_bit(self, case):
+        data, m = case
+        regression(estimate.ObservationSet(data=data, m=m))
 
     def test_conditional_mean_property(self):
         # Grouped by lag pattern, the mean response should approach the
@@ -178,7 +200,7 @@ class TestBuildRegression:
         omega = [0.55, 0.20]
         data = simulate_outcomes(omega, [1], n=40_000, seed=905)
         obs = estimate.ObservationSet(data=tuple(int(v) for v in data), m=1)
-        X, y = estimate.build_regression(obs)
+        X, y = regression(obs)
         for lag, expected in ((1, 0.75), (-1, 0.35)):
             mask = X[:, 1] == lag
             count = mask.sum()
@@ -186,9 +208,9 @@ class TestBuildRegression:
             assert abs(y[mask].mean() - expected) < 3 * sigma
 
 
-def fit_charge(rows, m):
-    """The bytes build_regression charges a fit of ``rows`` rows at depth ``m``."""
-    return rows * (8 * (m + 1) + 24) + 16 * (m + 1) ** 2
+def fit_charge(outcomes, m):
+    """The bytes build_regression charges a fit of ``outcomes`` outcomes at depth ``m``."""
+    return 2 * outcomes + 24 * (m + 1) ** 2 + 2**12
 
 
 class TestFitBudget:
@@ -196,19 +218,21 @@ class TestFitBudget:
 
     def test_a_fit_is_charged_its_rows_and_its_normal_matrix(self, monkeypatch):
         obs = estimate.ObservationSet(data=simulate_outcomes([0.55, 0.2], [1], 40, 3), m=3)
-        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(37, 3))
+        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(40, 3))
         for fit in self.FITS:
             fit(obs)
-        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(37, 3) - 1)
+        monkeypatch.setattr(model, "MEMORY_BUDGET", fit_charge(40, 3) - 1)
         for fit in self.FITS:
             with pytest.raises(DomainError, match="37 regression rows at depth 3 need"):
                 fit(obs)
 
-    @pytest.mark.parametrize("m,size", [(1, 5000), (3, 20_000), (60, 4000), (500, 1002)])
+    @pytest.mark.parametrize(
+        "m,size", [(1, 5000), (3, 20_000), (60, 4000), (500, 1002), (1000, 2002)]
+    )
     @pytest.mark.parametrize("fit", [estimate.ols_fit, estimate.constrained_fit])
     def test_traced_peak_within_the_charge(self, fit, m, size):
-        # Per row the regression and the residuals dominate; near m rows,
-        # X'X does. Small objects add under 1 KiB whatever the size.
+        # Per outcome a lag pass's bytes dominate; near m rows, X'X does.
+        # Small objects add under 1 KiB whatever the size.
         obs = estimate.ObservationSet(data=simulate_outcomes([0.5, 0.1], [1], size, m), m=m)
         fit(obs)  # first-call costs: lazy imports, caches
         tracemalloc.start()
@@ -217,7 +241,7 @@ class TestFitBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= fit_charge(size - m, m) + 2**10
+        assert peak <= fit_charge(size, m) + 2**10
 
 
 class TestOlsFit:
@@ -251,7 +275,7 @@ class TestOlsFit:
         # A design whose eigenvalue ratio equals the cutoff is singular; one
         # just above it is not.
         obs = estimate.ObservationSet(data=(1, -1, -1, 1, 1, 1, -1, 1, -1, -1), m=2)
-        X, _ = estimate.build_regression(obs)
+        X, _ = regression(obs)
         eig = np.linalg.eigvalsh(X.T @ X)
         monkeypatch.setattr(estimate, "_SINGULAR_RTOL", eig[0] / eig[-1])
         with pytest.raises(SingularDesign):
@@ -286,7 +310,7 @@ class TestOlsFit:
             data = simulate_outcomes(omega, history, n=2000, seed=rng.randrange(2**32))
             obs = estimate.ObservationSet(data=tuple(int(v) for v in data), m=m)
             fit = estimate.ols_fit(obs)
-            X, y = estimate.build_regression(obs)
+            X, y = regression(obs)
             resid = X.T @ (y - X @ np.asarray(fit.omega_hat))
             assert np.abs(resid).max() < 1e-8 * len(obs)
 
@@ -297,7 +321,7 @@ class TestOlsFit:
     def test_largest_eigenvalue_at_least_the_row_count(self, m, data):
         # Every diagonal entry of X'X is the row count, since each column
         # holds 1 or +-1, so the singular test never divides by zero.
-        X, _ = estimate.build_regression(estimate.ObservationSet(data=data, m=m))
+        X, _ = regression(estimate.ObservationSet(data=data, m=m))
         assert np.linalg.eigvalsh(X.T @ X)[-1] >= X.shape[0]
 
 
@@ -952,7 +976,8 @@ class TestSolverEquivalence:
            constrained=st.booleans())
     def test_bit_for_bit_on_the_row_by_row_design(self, game, n, seed, constrained):
         # X'X and X'y are sums of integers, so the solve sees the same bits
-        # from either design, and the RSS is (y - X w)^2 summed by numpy.
+        # from either design, and the RSS is the exact sum of (y - X w)^2
+        # over the rows, correctly rounded.
         params, history = game
         spec = model.GameSpec(params=params, history=history, n=n)
         obs = estimate.ObservationSet(data=simulate.sample_path(spec, stream_seed=seed), m=params.m)
@@ -963,9 +988,21 @@ class TestSolverEquivalence:
             assume(False)
         X, y = bruteforce.regression(obs.data, obs.m)
         w = np.array(fit.omega_hat)
-        assert fit.rss == float(np.sum((y - X @ w) ** 2))
+        assert fit.rss == float(bruteforce.exact_rss(obs.data, obs.m, w))
         if not fit.projected:
             assert w.tobytes() == np.linalg.solve(X.T @ X, X.T @ y).tobytes()
+
+    def test_exact_rss_of_a_near_perfect_fit(self):
+        # Alternating outcomes follow y = 1/2 - x_{t-1}/2 exactly, so OLS
+        # leaves no residual. The constrained fit, moved about 1e-9 inside
+        # the hyperdiamond, leaves about 2e-16 where y'y is 100, which any
+        # float form of y'y - 2 w'X'y + w'X'X w would cancel to noise.
+        data = tuple(1 if i % 2 else -1 for i in range(200))
+        obs = estimate.ObservationSet(data=data, m=1)
+        assert estimate.ols_fit(obs).rss == 0.0
+        fit = estimate.constrained_fit(obs)
+        assert fit.rss == float(bruteforce.exact_rss(data, 1, fit.omega_hat))
+        assert 1e-16 < fit.rss < 1e-15
 
     @pytest.mark.parametrize("fit", [estimate.ols_fit, estimate.constrained_fit])
     @pytest.mark.parametrize(
