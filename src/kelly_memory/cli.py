@@ -118,9 +118,12 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
         bits, index = np.unique(values.view(np.int64), return_inverse=True)
         distinct = bits.view(float).tolist()
         if fmt == "json":
+            # The rounding is outside the try: a precision that str.format
+            # refuses is a ValueError of its own.
+            rounded = list(map(float, map(text, distinct)))
             try:
                 # One json.dumps call: one per value costs four times as much.
-                out = json.dumps(list(map(float, map(text, distinct))), allow_nan=False)
+                out = json.dumps(rounded, allow_nan=False)
             except ValueError:
                 msg = "result is not finite, so it has no JSON form"
                 raise NumericalError(msg) from None

@@ -112,8 +112,8 @@ def require_reals(values, what: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def check_memory(need: int, what: str) -> int:
-    """The bytes of MEMORY_BUDGET left once ``what`` takes ``need``; DomainError past it.
+def check_memory(need: int, what: str) -> None:
+    """DomainError when ``what`` needs ``need`` bytes, more than MEMORY_BUDGET.
 
     The one budget test: every allocation a request sizes is charged here
     before it is made.
@@ -122,7 +122,6 @@ def check_memory(need: int, what: str) -> int:
         # Past 2**1024 bytes the size has no float, so the message gives a bound.
         size = f"about {need / 2**30:.3g}" if need < 2**1000 else "at least 2**970"
         raise DomainError(f"{what} need {size} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget")
-    return MEMORY_BUDGET - need
 
 
 def check_stages(n: int) -> None:

@@ -4,8 +4,8 @@ Outcome paths are sampled with the Philox counter-based generator, one
 model.transition_table lookup per step. Paths are processed in fixed
 blocks of ``BLOCK_PATHS``; block b draws its words from the Philox
 stream at counter (0, 0, b, 0), which is ``Philox(key=seed).jumped(b)``,
-so every block owns a disjoint, scheduling-independent slice of the
-stream. A block draws its stream in pieces of whole rows, at most
+so every block owns a disjoint slice of the stream. ``_blocks`` is the
+one sampler: it draws a block's stream in pieces of whole rows, at most
 ``PIECE_WORDS`` words or one row, each transposed to step-major order
 while it is still in cache, and compares the raw words against integer
 limits instead of converting them to uniforms. The blocks run in order
@@ -16,17 +16,18 @@ words: row k + 1 holds step k's words, and step k's head flags are
 written over the start of row k, whose words step k - 1 has already
 read. A constant bettor's log growth depends only on
 the path's head count, so every constant bettor shares one per-path
-count array, in the narrowest unsigned type that holds n; a vector
-bettor's log growth is summed from the flags into its own array. The
-statistics then take the policies one at a time, a piece of at most
-``BLOCK_PATHS`` paths at a time through one reused buffer: the pieces are
-the leaves of the pairwise-summation tree that numpy's reduce walks over
-the whole run, so the reduction order stays fixed as well, and mean and
-standard error take exactly the steps of np.mean and np.std(ddof=1). The
-quantiles of the final values are exact and interpolated as np.quantile
-does. A vector bettor's are each selected by one single-kth partition of
-its final values, which overwrite its log growth once the sums are done.
-A constant bettor's final value takes only the n + 1 values of its
+count array, in the narrowest unsigned type that holds n, and the
+count's histogram is summed block by block; a vector bettor's log growth
+is summed from the flags into its own array. The statistics then take
+the policies one at a time, a piece of at most ``LEAF_PATHS`` paths at a
+time through one reused buffer: the pieces are the leaves of the
+pairwise-summation tree that numpy's reduce walks over the whole run, so
+the reduction order stays fixed as well, and mean and standard error
+take exactly the steps of np.mean and np.std(ddof=1). The quantiles of
+the final values are exact and interpolated as np.quantile does. A
+vector bettor's are each selected by one single-kth partition of its
+final values, which overwrite its log growth once the sums are done. A
+constant bettor's final value takes only the n + 1 values of its
 head-count table, so its quantiles and its overflow check are read off
 the histogram of the head count, and its per-path log growth is read
 from the table a piece at a time.
@@ -48,6 +49,11 @@ BLOCK_PATHS = 8192
 # piece of 120 KiB (512 rows at n = 30) stays in cache while it is
 # transposed, and at small n a block still takes few draws.
 PIECE_WORDS = 512 * 30
+# Most entries _tree_sum reads at once, a 64 KiB buffer of float64. numpy's
+# pairwise sum adds a node of up to 128 entries in one loop and splits a
+# larger one where its size alone says, so any multiple of 8 of at least
+# 128 gives numpy's pairwise bits.
+LEAF_PATHS = 8192
 
 _QUANTILES = (0.05, 0.5, 0.95)
 
@@ -111,16 +117,18 @@ def require_seed(seed) -> int:
     return seed
 
 
-def _worker_bytes(rows: int, n: int) -> int:
-    """The sampler's buffers, for blocks of ``rows`` paths of ``n`` steps.
+def _sampler_bytes(n: int, paths: int) -> int:
+    """_blocks' buffers, for a run of ``paths`` paths of ``n`` steps.
 
-    Per block path 8(n + 1): the words in step-major order, in n + 1 rows
-    that hold the head flags too. Per path of one piece, of at most
-    _piece_rows(n) rows, 8n: the words as drawn. Per block path 24: the
-    state, the limits, which the vector bettors reuse as their index and
-    term, and the buffer in which np.bitwise_or casts a step's head flags
-    to the state's type (8 each).
+    A block holds rows = min(paths, BLOCK_PATHS) paths. Per block path
+    8(n + 1): the words in step-major order, in n + 1 rows that hold the
+    head flags too. Per path of one piece, of at most _piece_rows(n) rows,
+    8n: the words as drawn. Per block path 24: the state, the limits,
+    which the vector bettors reuse as their index and term, and the
+    buffer in which np.bitwise_or casts a step's head flags to the
+    state's type (8 each).
     """
+    rows = min(paths, BLOCK_PATHS)
     return 8 * (n + 1) * rows + 8 * min(rows, _piece_rows(n)) * n + 24 * rows
 
 
@@ -138,8 +146,9 @@ def _check_run(n: int, paths: int, per_path: int, held: int) -> None:
     paths = model.require_integer(paths, "path count")
     if paths < 1:
         raise DomainError(f"path count must be >= 1, got {paths}")
-    sampler = _worker_bytes(min(paths, BLOCK_PATHS), n)
-    model.check_memory(held + per_path * paths + sampler, f"{paths} paths of {n} bets")
+    model.check_memory(
+        held + per_path * paths + _sampler_bytes(n, paths), f"{paths} paths of {n} bets"
+    )
 
 
 def check_budget(n: int, paths: int, constants: int, vectors: int) -> None:
@@ -148,15 +157,15 @@ def check_budget(n: int, paths: int, constants: int, vectors: int) -> None:
     The run has ``constants`` constant and ``vectors`` vector bettors. The
     byte count is an upper estimate: STAGE_BYTES per stage, the analytic
     layer's bound, which covers the p_k pass and the vector bettors'
-    fractions; the statistics buffer of _leaf_paths() entries; the
-    sampler's buffers; and per path 8 for each vector bettor's growth
-    array and the width of the head count once if any bettor is constant.
-    The three standard bettors at n <= 255 hold 9 bytes per path.
+    fractions; the statistics buffer of LEAF_PATHS entries; _blocks'
+    buffers (_sampler_bytes); and per path 8 for each vector bettor's
+    growth array and the width of the head count once if any bettor is
+    constant. The three standard bettors at n <= 255 hold 9 bytes per path.
     """
     per_path = 8 * vectors
     if constants:
         per_path += np.min_scalar_type(n).itemsize
-    _check_run(n, paths, per_path, model.STAGE_BYTES * n + 8 * _leaf_paths())
+    _check_run(n, paths, per_path, model.STAGE_BYTES * n + 8 * LEAF_PATHS)
 
 
 def sample_path(spec: model.GameSpec, stream_seed: int) -> np.ndarray:
@@ -183,23 +192,29 @@ def _limits(table: np.ndarray) -> np.ndarray:
     return np.ceil(table * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
-def _blocks(limits, state0, n, rows, seed, jobs):
-    """Yield (heads, start, stop, scratch) for each (block, start, stop) job, in order.
+def _blocks(spec: model.GameSpec, paths: int, seed: int):
+    """Yield (heads, start, stop, scratch) for each block of a run, in order.
 
-    One (n + 1, rows) uint64 buffer holds a block. Row k + 1 holds step
-    k's words, and step k's head flags are written into the first bytes of
-    row k, whose words step k - 1 has already read. ``heads`` views those
-    flags, one row per step; the next block overwrites them. ``scratch``
-    is an (intp, float64) pair of rows that the consumer may overwrite:
-    the state and the limits, which the next block sets before it reads
-    them. The buffers live as long as the generator.
+    With rows = min(paths, BLOCK_PATHS), block b holds paths [b rows,
+    min((b + 1) rows, paths)) and draws its words from the Philox stream at
+    counter (0, 0, b, 0). One (n + 1, rows) uint64 buffer holds a block.
+    Row k + 1 holds step k's words, and step k's head flags are written
+    into the first bytes of row k, whose words step k - 1 has already
+    read. ``heads`` views those flags, one row per step; the next block
+    overwrites them. ``scratch`` is an (intp, float64) pair of rows that
+    the consumer may overwrite: the state and the limits, which the next
+    block sets before it reads them. The buffers live as long as the
+    generator.
     """
+    n, rows = spec.n, min(paths, BLOCK_PATHS)
+    limits = _limits(model.transition_table(spec.params))
     buffer = np.empty((n + 1, rows), dtype=np.uint64)
     flags = buffer.view(bool)[:n, :rows]
     state = np.empty(rows, dtype=np.intp)
     limit = np.empty(rows, dtype=np.uint64)
     mask, piece = limits.size - 1, _piece_rows(n)
-    for b, start, stop in jobs:
+    for b, start in enumerate(range(0, paths, rows)):
+        stop = min(start + rows, paths)
         r = stop - start
         # One stream per block; consecutive draws continue it, row by row.
         # Counter (0, 0, b, 0) holds the words of jumped(b), from one generator, not two.
@@ -208,7 +223,7 @@ def _blocks(limits, state0, n, rows, seed, jobs):
             j = min(i + piece, r)
             np.copyto(buffer[1:, i:j], bits.random_raw((j - i) * n).reshape(j - i, n).T)
         s, t, h = state[:r], limit[:r], flags[:, :r]
-        s.fill(state0)
+        s.fill(spec.history.state)
         for k in range(n):
             np.take(limits, s, out=t, mode="clip")  # "raise" would buffer the output
             np.less(buffer[k + 1, :r], t, out=h[k])
@@ -216,16 +231,6 @@ def _blocks(limits, state0, n, rows, seed, jobs):
             np.bitwise_or(s, h[k], out=s)
             np.bitwise_and(s, mask, out=s)
         yield h, start, stop, (s, t.view(np.float64))
-
-
-def _run_blocks(spec: model.GameSpec, paths: int, seed: int):
-    """The blocks of a run of ``paths`` paths, in order, as _blocks yields them."""
-    limits = _limits(model.transition_table(spec.params))
-    jobs = [
-        (b, start, min(start + BLOCK_PATHS, paths))
-        for b, start in enumerate(range(0, paths, BLOCK_PATHS))
-    ]
-    return _blocks(limits, spec.history.state, spec.n, min(paths, BLOCK_PATHS), seed, jobs)
 
 
 def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
@@ -237,7 +242,7 @@ def sample_paths(spec: model.GameSpec, paths: int, seed: int) -> np.ndarray:
     seed = require_seed(seed)
     _check_run(spec.n, paths, 8 * spec.n, 0)
     x = np.empty((paths, spec.n), dtype=np.int64)
-    for heads, start, stop, _ in _run_blocks(spec, paths, seed):
+    for heads, start, stop, _ in _blocks(spec, paths, seed):
         block = x[start:stop]
         np.multiply(heads.T, 2, out=block)
         np.subtract(block, 1, out=block)
@@ -299,15 +304,6 @@ def _histogram_quantiles(values: np.ndarray, counts: np.ndarray) -> tuple[float,
     return tuple(quantiles)
 
 
-def _leaf_paths() -> int:
-    """Most entries _tree_sum reads at once: BLOCK_PATHS, and never fewer than 128.
-
-    numpy's pairwise_sum adds a node of up to 128 entries in one loop,
-    which no split reproduces.
-    """
-    return max(BLOCK_PATHS, 128)
-
-
 def _tree_sum(values, start: int, stop: int) -> np.float64:
     """np.add.reduce of the float64 entries [start, stop), which values(a, b) returns.
 
@@ -316,13 +312,13 @@ def _tree_sum(values, start: int, stop: int) -> np.float64:
     numpy/_core/src/umath/loops_utils.h.src splits a node of more than 128
     entries at half = size // 2, rounded down to a multiple of 8, and adds
     the sums of its two halves. Where a node splits depends on its size
-    alone, so a node of at most _leaf_paths() entries is reduced on its
-    own and the halves are added up the tree, bit for bit as the whole
-    array would be (tests/test_simulate.py, TestTreeSum). values(a, b) is
-    called only with b - a <= _leaf_paths().
+    alone, so a node of at most LEAF_PATHS entries, which is at least
+    128, is reduced on its own and the halves are added up the tree, bit
+    for bit as the whole array would be (tests/test_simulate.py,
+    TestTreeSum). values(a, b) is called only with b - a <= LEAF_PATHS.
     """
     size = stop - start
-    if size <= _leaf_paths():
+    if size <= LEAF_PATHS:
         return np.add.reduce(values(start, stop))
     half = size // 2
     half -= half % 8
@@ -360,8 +356,10 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
     vectors = [pol.fractions for _, pol in config.policies if pol.fractions.ndim]
     constants = len(config.policies) - len(vectors)
     # Each path's head count, which a constant bettor's log growth depends
-    # on alone, and each vector bettor's log growth.
-    count = np.empty(m_paths, dtype=np.min_scalar_type(n)) if constants else None
+    # on alone, the counts' histogram, and each vector bettor's log growth.
+    if constants:
+        count = np.empty(m_paths, dtype=np.min_scalar_type(n))
+        histogram = np.zeros(n + 1, dtype=np.intp)
     growth = [np.empty(m_paths) for _ in vectors]
     # Row k: the log growth at stage k after a tail and after a head.
     luts = [
@@ -371,9 +369,10 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
 
     # A vector bettor's log(V_n / V_0) is summed stage by stage from the
     # left, through the block's scratch rows.
-    for heads, start, stop, (index, term) in _run_blocks(spec, m_paths, config.seed):
-        if count is not None:
+    for heads, start, stop, (index, term) in _blocks(spec, m_paths, config.seed):
+        if constants:
             np.add.reduce(heads.view(np.uint8), axis=0, dtype=count.dtype, out=count[start:stop])
+            histogram += np.bincount(count[start:stop], minlength=n + 1)
         for out, logs in zip(growth, luts):
             total = out[start:stop]
             total.fill(0.0)
@@ -382,16 +381,11 @@ def monte_carlo_elg(config: SimConfig) -> SimResult:
                 total += np.take(lut, index, out=term, mode="clip")
 
     if constants:
-        # The head counts that occur, and how often; bincount and take read
-        # a uint8 or uint16 index as intp, so they take it a piece at a time.
-        histogram = np.zeros(n + 1, dtype=np.intp)
-        for i in range(0, m_paths, BLOCK_PATHS):
-            histogram += np.bincount(count[i : i + BLOCK_PATHS], minlength=n + 1)
         held = np.flatnonzero(histogram)
         head_counts = np.arange(n + 1.0)
     # Every policy's g = log_vn / n passes through this one buffer, a leaf
     # of _tree_sum at a time; a vector bettor's growth array is only read.
-    buffer = np.empty(min(m_paths, _leaf_paths()))
+    buffer = np.empty(min(m_paths, LEAF_PATHS))
     vector_growth = iter(growth)
     stats = []
     for name, pol in config.policies:

@@ -719,6 +719,21 @@ class TestRejectedInput:
         assert out == ""
         assert err.count("\n") == 1 and "omega" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "precision,message",
+        [("2147483648", "precision too big"),
+         ("99999999999999999999", "Too many decimal digits in format string")],
+    )
+    def test_precision_too_large_to_format(self, capsys, fmt, precision, message):
+        # JSON used to report the format's ValueError as a non-finite
+        # result, with exit 3.
+        code, out, err = run(
+            capsys, "kelly", "--omega", "0.55,0.20", "--history", "+1", "--n", "2",
+            "--precision", precision, "--format", fmt,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -1444,3 +1459,65 @@ class TestProcessExit:
         assert ran.returncode == 0 and b"teardown" not in ran.stdout
         usage = run_buffered(["-c", probe.format(["kelly"])])
         assert usage.returncode == 2 and usage.stdout == b"teardown\n"
+
+
+def pipe_cases():
+    """(argv, file text, stdout or None) for runs that read /dev/stdin: files
+    past the 8 KiB that a first handle on a pipe buffers, and files on the
+    line-by-line reader. The price files have CRLF line ends and flat moves,
+    which ingest drops."""
+    rng = random.Random(30)
+    prices = [100.0]
+    for _ in range(1200):
+        prices.append(round(prices[-1] + rng.choice((-1, 0, 1)) * rng.random(), 4))
+
+    def price_csv(cells):
+        return "date,price\r\n" + "".join(f"2020-{i:05d},{p}\r\n" for i, p in enumerate(cells))
+
+    def moves(prices):
+        return "".join("+1\n" if b > a else "-1\n" for a, b in zip(prices, prices[1:]) if b != a)
+
+    column = [rng.choice((-1, 1)) for _ in range(3000)]
+    # An empty cell sends the rows to the csv module, row by row.
+    gap = price_csv(prices[:600] + [""] + prices[601:])
+    return {
+        "ingest-prices": (("ingest",), price_csv(prices), moves(prices)),
+        "estimate-column": (
+            ("estimate", "--column", "x", "--m", "1"),
+            "x,y\n" + "".join(f"{x},{i}\n" for i, x in enumerate(column)),
+            None,
+        ),
+        "bad-token": (("estimate", "--m", "1"), "1\n-1\nx\n1\n", ""),
+        "empty-cell": (("ingest",), gap, moves(prices[:600] + prices[601:])),
+    }
+
+
+PIPE_CASES = pipe_cases()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+class TestPipedFiles:
+    """``cat FILE | kelly-memory ... /dev/stdin`` prints what the run on the
+    regular file does, byte for byte. Reading the path a second time used to
+    start past the first handle's buffer, and lost rows."""
+
+    @pytest.mark.parametrize("case", list(PIPE_CASES))
+    def test_pipe_equal_to_the_regular_file(self, case, tmp_path, capsys):
+        argv, text, expected = PIPE_CASES[case]
+        path = tmp_path / "data"
+        path.write_bytes(text.encode())
+        command = ["-m", "kelly_memory", argv[0], "/dev/stdin", *argv[1:]]
+        with path.open("rb") as regular_stdin:
+            regular = run_buffered(command, stdin=regular_stdin)
+        piped = run_buffered(command, input=path.read_bytes())
+        assert (piped.returncode, piped.stdout, piped.stderr) == (
+            regular.returncode, regular.stdout, regular.stderr,
+        )
+        if expected is None:  # as the file read by its own name
+            expected = run(capsys, argv[0], str(path), *argv[1:])[1]
+        assert regular.stdout.decode() == expected
+        if case == "bad-token":
+            message = "error: /dev/stdin:3: 'x' is not numeric (pass a column name for CSV input)\n"
+            assert (regular.returncode, regular.stderr.decode()) == (2, message)
+        else:
+            assert (regular.returncode, regular.stderr) == (0, b"")

@@ -727,6 +727,47 @@ class TestLoopOracles:
         assert outcome(estimate.read_outcomes, path) == outcome(bruteforce.read_outcomes, path)
 
 
+def read_named(fn, path, *args):
+    """fn's values as text (so NaN equals NaN), or its error's class and
+    whole message, the path written as FILE."""
+    try:
+        return repr([float(v) for v in fn(path, *args)])
+    except InputError as exc:
+        return type(exc), str(exc).replace(str(path), "FILE")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedText:
+    """A pipe is read once and parsed as a regular file of the same bytes is,
+    blank and padded lines, CRLF, quoted rows and bad values included."""
+
+    @staticmethod
+    def assert_pipe_reads_as_the_file(fn, text, *args):
+        data = text.encode()
+        assume(len(data) < 2**16)  # the pipe holds it all before it is read
+        tmp, path = in_file(data)
+        with tmp:
+            expected = read_named(fn, path, *args)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            assert read_named(fn, Path(f"/dev/fd/{read_end}"), *args) == expected
+        finally:
+            os.close(read_end)
+
+    @settings(deadline=None, max_examples=100)
+    @given(text=price_files())
+    def test_price_files(self, text):
+        self.assert_pipe_reads_as_the_file(estimate.read_prices, text)
+
+    @settings(deadline=None, max_examples=100)
+    @given(case=outcome_files())
+    def test_outcome_files(self, case):
+        text, column = case
+        self.assert_pipe_reads_as_the_file(estimate.read_outcomes, text, column)
+
+
 def read_result(path):
     """read_outcomes' values with their dtype, or its error's class and whole message."""
     try:

@@ -288,7 +288,7 @@ def spread_values(size, seed):
 def tree_sum(x):
     """simulate._tree_sum over the array x, checking that no piece exceeds a leaf."""
     def values(a, b):
-        assert 0 <= a < b <= x.size and b - a <= simulate._leaf_paths()
+        assert 0 <= a < b <= x.size and b - a <= simulate.LEAF_PATHS
         return x[a:b]
 
     return simulate._tree_sum(values, 0, x.size)
@@ -332,12 +332,16 @@ class TestTreeSum:
     @pytest.mark.parametrize("block", [64, 100])
     @pytest.mark.parametrize("size", [128, 129, 250, 256, 1001])
     def test_numpy_never_splits_128_entries_whatever_the_block(self, block, size, monkeypatch):
-        # Tests shrink BLOCK_PATHS below numpy's 128-entry unsplit node; a
-        # leaf then still holds up to 128 entries, for the same sums.
+        # The leaf does not follow the block: a run in blocks shorter than
+        # numpy's 128-entry unsplit node still sums its statistics as the
+        # whole-array oracle does.
         monkeypatch.setattr(simulate, "BLOCK_PATHS", block)
-        assert simulate._leaf_paths() == 128
-        x = spread_values(size, size)
-        assert same_float(tree_sum(x), np.add.reduce(x))
+        spec = make_spec([0.55, 0.20], [1], n=6)
+        config = simulate.SimConfig(
+            spec=spec, policies=simulate.standard_policies(spec), paths=size, seed=size
+        )
+        got = simulate.monte_carlo_elg(config).stats
+        assert list(map(hexed, got)) == list(map(hexed, bruteforce.monte_carlo_elg(config).stats))
 
 
 def hexed(stats):
@@ -472,7 +476,7 @@ class TestMemoryBudget:
     def test_sample_paths_charged_for_its_array(self, monkeypatch):
         # 8 bytes per outcome of the (paths, n) int64 array, and the sampler's buffers.
         spec, paths = make_spec([0.55, 0.20], [1], n=10), 1000
-        need = 8 * spec.n * paths + simulate._worker_bytes(paths, spec.n)
+        need = 8 * spec.n * paths + simulate._sampler_bytes(spec.n, paths)
         monkeypatch.setattr(model, "MEMORY_BUDGET", need)
         assert simulate.sample_paths(spec, paths, seed=1).shape == (paths, spec.n)
         monkeypatch.setattr(model, "MEMORY_BUDGET", need - 1)
@@ -494,8 +498,8 @@ class TestMemoryBudget:
         # sampler's buffers, for full blocks.
         per_path = 8 * 1 + np.min_scalar_type(spec.n).itemsize
         assert per_path == 9
-        held = model.STAGE_BYTES * spec.n + 8 * simulate._leaf_paths()
-        charge = held + per_path * paths + simulate._worker_bytes(simulate.BLOCK_PATHS, spec.n)
+        held = model.STAGE_BYTES * spec.n + 8 * simulate.LEAF_PATHS
+        charge = held + per_path * paths + simulate._sampler_bytes(spec.n, paths)
         monkeypatch.setattr(model, "MEMORY_BUDGET", charge)
         assert simulate.monte_carlo_elg(config()) == expected
         monkeypatch.setattr(model, "MEMORY_BUDGET", charge - 1)
@@ -507,9 +511,9 @@ class TestMemoryBudget:
         # of 8 bytes per path, a lone vector bettor is accepted and run,
         # and one more constant bettor, 9 bytes per path, is rejected.
         spec, paths = make_spec([0.55, 0.20], [1], n=30), 1000
-        worker = simulate._worker_bytes(paths, spec.n)
-        held = model.STAGE_BYTES * spec.n + 8 * simulate._leaf_paths()
-        budget = held + 8 * paths + worker
+        sampler = simulate._sampler_bytes(spec.n, paths)
+        held = model.STAGE_BYTES * spec.n + 8 * simulate.LEAF_PATHS
+        budget = held + 8 * paths + sampler
         monkeypatch.setattr(model, "MEMORY_BUDGET", budget)
         vector = ("v", policy.kelly_timevarying(spec))
         simulate.monte_carlo_elg(simulate.SimConfig(spec=spec, policies=(vector,), paths=paths))
@@ -542,26 +546,22 @@ class TestMemoryBudget:
         per_path = 8 * vectors
         if vectors < len(policies):
             per_path += np.min_scalar_type(n).itemsize
-        sampler = simulate._worker_bytes(min(paths, simulate.BLOCK_PATHS), n)
-        held = model.STAGE_BYTES * n + 8 * simulate._leaf_paths()
+        sampler = simulate._sampler_bytes(n, paths)
+        held = model.STAGE_BYTES * n + 8 * simulate.LEAF_PATHS
         assert peak <= held + per_path * paths + sampler
 
     @pytest.mark.parametrize("paths", [300, 2 * simulate.BLOCK_PATHS + 3], ids=["piece", "blocks"])
     @pytest.mark.parametrize("n", [1, 2, 30, 300])
     def test_worker_peak_within_a_row_of_its_charge(self, n, paths):
-        # _worker_bytes counts a piece's words and np.bitwise_or's cast
-        # buffer (8 bytes per row), which are never held at once, so one
-        # worker's traced peak is at most 8 bytes per row below it. Runs of
+        # _sampler_bytes counts a piece's words and np.bitwise_or's cast
+        # buffer (8 bytes per row), which are never held at once, so the
+        # sampler's traced peak is at most 8 bytes per row below it. Runs of
         # one short block, and of two full blocks and a partial one.
         spec = make_spec([0.5, 0.2, -0.1, 0.15], [1, -1, 1], n=n)
-        limits = simulate._limits(model.transition_table(spec.params))
         rows = min(paths, simulate.BLOCK_PATHS)
-        jobs = [
-            (b, start, min(start + rows, paths)) for b, start in enumerate(range(0, paths, rows))
-        ]
 
         def run():
-            for _ in simulate._blocks(limits, spec.history.state, n, rows, 3, jobs):
+            for _ in simulate._blocks(spec, paths, 3):
                 pass
 
         run()  # first-call costs
@@ -571,7 +571,7 @@ class TestMemoryBudget:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        charge = simulate._worker_bytes(rows, n)
+        charge = simulate._sampler_bytes(n, paths)
         assert charge - 8 * rows <= peak <= charge
 
 
@@ -606,10 +606,10 @@ def simulations(draw):
     )
 
 
-class TestBlockParallel:
+class TestBlockSampler:
     @settings(deadline=None, max_examples=30)
     @given(config=simulations())
-    def test_equal_to_block_loop_at_any_worker_count(self, config):
+    def test_equal_to_the_block_loop(self, config):
         expected = bruteforce.monte_carlo_elg(config)
         expected_paths = bruteforce.sample_paths(config.spec, config.paths, config.seed)
         assert simulate.monte_carlo_elg(config) == expected

@@ -108,6 +108,22 @@ def test_readme_bytes_per_path_is_the_budget_charge(monkeypatch):
     assert stated == [str(charged[0])]
 
 
+def test_readme_simulate_sizes_are_the_constants():
+    # The README states the sampler's block and piece sizes and the
+    # statistics' leaf in words; each must be the constant it names.
+    from kelly_memory import simulate
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+
+    def stated(pattern):
+        return [int(number.replace(",", "")) for number in re.findall(pattern, text)]
+
+    assert stated(r"blocks of ([\d,]+)") == [simulate.BLOCK_PATHS]
+    assert stated(r"at most ([\d,]+) words") == [simulate.PIECE_WORDS] * 2
+    assert stated(r"pieces of at most ([\d,]+) paths") == [simulate.LEAF_PATHS]
+    assert stated(r"a (\d+) KiB statistics buffer") == [8 * simulate.LEAF_PATHS // 2**10]
+
+
 def test_contract_table_names_every_public_callable():
     # A new export fails here until test_contract.CALLS says how to call it.
     import kelly_memory

@@ -56,6 +56,9 @@ EQUIVALENT = {
      "cd + radius > ranks * d", "cd + radius >= ranks * d"):
         "at a tie cd[r] + radius == (r + 1) * d[r], ranks r and r - 1 give the same kept level"
         " d[r] up to rounding",
+    ("src/kelly_memory/simulate.py", "_tree_sum", "size <= LEAF_PATHS", "size < LEAF_PATHS"):
+        "LEAF_PATHS is above numpy's 128-entry unsplit node, so numpy splits a node of exactly"
+        " LEAF_PATHS entries at the same half, and the two halves' sums are its bits",
     ("src/kelly_memory/policy.py", "PayoffModel.__post_init__",
      "abs(sum(self.frequencies) - 1.0) > 1e-12", "abs(sum(self.frequencies) - 1.0) >= 1e-12"):
         "a sum within 1e-12 of 1 differs from 1 by a multiple of 2**-53, which 1e-12 is not",
