@@ -3,9 +3,9 @@
 Subcommands: kelly (optimal fractions), elg (evaluate a policy), simulate
 (Monte Carlo), scenario (three-bettor comparison table), estimate (fit
 coefficients from outcomes), ingest (prices to +1/-1 moves). Output is
-JSON or CSV on stdout, or written atomically to --out. Exit codes: 0
-success, 2 invalid input, a request the process cannot allocate, or a
-stdout that is closed or whose reader has gone, 3 numerical failure.
+JSON or CSV on stdout, or written to --out (see _write_output). Exit
+codes: 0 success, 2 invalid input, a request the process cannot allocate,
+or a stdout that is closed or whose reader has gone, 3 numerical failure.
 
 The console script and ``python -m kelly_memory`` run ``entry_point``,
 which ends the process with ``os._exit`` once ``main`` has returned and
@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -172,16 +173,36 @@ def render(record: dict, fmt: str, precision: int | None) -> str:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout, or to the file that ``out`` names.
+
+    A symlink is followed to its target. A regular file, or a new one, is
+    written to a temporary file beside it and renamed over it, so it holds
+    the old text or the new and never a part; it keeps the old file's
+    permission bits, and a new file gets 0o666 less the umask, as open()
+    gives. Any other file, such as a FIFO or a device, is written in
+    place, since a rename would replace the node itself.
+    """
     if out is None:
         if sys.stdout is None:  # file descriptor 1 was closed when Python started
             raise OSError("stdout is closed")
         sys.stdout.write(text)
         return
-    target = Path(out)
+    target = os.path.realpath(out)
     try:
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".kelly-tmp-")
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".kelly-tmp-")
         try:
             with os.fdopen(fd, "w") as fh:
+                os.fchmod(fd, stat.S_IMODE(mode))
                 fh.write(text)
             os.replace(tmp, target)
         except BaseException:

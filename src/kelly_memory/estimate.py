@@ -17,17 +17,18 @@ whether the fit was constrained and its projected-gradient iterations.
 ``projected`` is derived from those, iterations > 0.
 
 Also provides ingestion of price series into +1/-1 move sequences and the
-file formats consumed by the CLI. An outcome file in exactly the format
-ingest writes, "+1" or "-1" and a line break per move, is read in one
-byte pass. Every other file is parsed by numpy's C text reader (a CSV
-header by the csv module) and the moves are taken in one array pass;
-blank lines are skipped. A file the C reader rejects is read again line
-by line, which names the bad line; a file that cannot be decoded as text
-is reported without a line number. Each reader charges a regular file to
-the memory budget by its size before it parses it; a pipe, whose size is
-not known, is read uncharged. A regular file may be opened again by its
-path; any other file, such as a pipe, is read into memory once and
-parsed from there.
+file formats consumed by the CLI. What an input file is gets decided
+once, by _source, and every reader takes its answer: a regular file is
+parsed from its path, and charged to the memory budget by its size before
+each parse; any other file, such as a pipe, whose size is not known, is
+read into memory once, uncharged, and parsed from there; a path that
+cannot be stat'ed is the OSError that names it. An outcome file in
+exactly the format ingest writes, "+1" or "-1" and a line break per move,
+is read in one byte pass, piped or not. Every other file is parsed by
+numpy's C text reader (a CSV header by the csv module) and the moves are
+taken in one array pass; blank lines are skipped. A file the C reader
+rejects is read again line by line, which names the bad line; a file
+that cannot be decoded as text is reported without a line number.
 """
 
 from __future__ import annotations
@@ -362,11 +363,12 @@ def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
     (auto-detected, 0 meaning tail).
     """
     path = Path(path)
+    source = _source(path)
     if column is None:
-        moves = _read_moves(path)
+        moves = _read_moves(path, source)
         if moves is not None:
             return moves
-        values = _read_lines(path)
+        values = _read_lines(path, source)
     else:
 
         def pick(header: list[str]) -> str:
@@ -374,32 +376,40 @@ def read_outcomes(path: str | Path, column: str | None = None) -> np.ndarray:
                 raise InputError(f"{path}: no column named {column!r}")
             return column
 
-        values = _read_column(path, pick)
+        values = _read_column(path, source, pick)
     if values.size == 0:
         raise EmptyResult(f"{path}: no outcome values found")
     return _decode_outcomes(values, str(path))
 
 
-def _read_moves(path: Path) -> np.ndarray | None:
-    """The int64 moves of a regular file that holds only lines as ingest
-    writes them, from one pass over its bytes; None for any other file.
+def _source(path: Path) -> Path | bytes:
+    """What every reader parses, decided once per file: the path of a
+    regular file, or the bytes of any other file, such as a pipe, read
+    once, since a second open of a pipe starts past what the first handle
+    buffered. A path that cannot be stat'ed raises the OSError that
+    names it."""
+    return path if stat.S_ISREG(path.stat().st_mode) else path.read_bytes()
 
-    The bytes and the result, 8 per line, are charged before the read. A
-    path that is not a regular file, or whose size is not a positive
-    multiple of 3, is not read here, and neither is a file whose size
-    changes between its stat and its read.
+
+def _read_moves(path: Path, source: Path | bytes) -> np.ndarray | None:
+    """The int64 moves of a _source that holds only lines as ingest writes
+    them, from one pass over its bytes; None for any other file.
+
+    Either kind of source is checked byte for byte, and one whose size is
+    not a positive multiple of 3 is None. A regular file's bytes and the
+    result, 8 per line, are charged before the read, which takes one byte
+    past its size, so a file that grew since its stat is None too. Bytes
+    read from a pipe are not charged.
     """
-    try:
-        info = path.stat()
-        size = info.st_size
-        if not stat.S_ISREG(info.st_mode) or size == 0 or size % 3:
+    data = source
+    if isinstance(source, Path):
+        size = source.stat().st_size
+        if size % 3:
             return None
         check_memory(size + 8 * (size // 3), f"{path}: {size // 3} outcome lines")
-        with path.open("rb") as fh:
+        with source.open("rb") as fh:
             data = fh.read(size + 1)
-    except OSError:
-        return None
-    if len(data) != size:
+    if not data or len(data) % 3:
         return None
     lines = np.frombuffer(data, np.uint8).reshape(-1, 3)
     sign = lines[:, 0]
@@ -410,17 +420,6 @@ def _read_moves(path: Path) -> np.ndarray | None:
     ):
         return None
     return np.subtract(44, sign, dtype=np.int64)
-
-
-def _source(path: Path) -> Path | bytes:
-    """What a text reader parses: the path of a regular file, or the bytes
-    of any other file, read once, since a second open of a pipe starts
-    past what the first handle buffered."""
-    try:
-        regular = stat.S_ISREG(path.stat().st_mode)
-    except OSError:  # opening the path reports it
-        regular = True
-    return path if regular else path.read_bytes()
 
 
 def _text(source: Path | bytes, newline: str | None = None) -> TextIO:
@@ -451,20 +450,17 @@ def _undecodable(path: Path, exc: UnicodeDecodeError) -> InputError:
     return InputError(f"{path}: cannot decode the file as text ({exc.encoding}: {exc.reason})")
 
 
-def _charge_text(path: Path, per_byte: int) -> None:
-    """Charge ``per_byte`` bytes per byte of a regular file, before a
-    reader parses it; a pipe, or a path that cannot be stat'ed, is not
-    charged."""
-    try:
-        info = path.stat()
-    except OSError:
-        return
-    if stat.S_ISREG(info.st_mode):
-        check_memory(per_byte * info.st_size, f"{path}: {info.st_size} bytes of text")
+def _charge_text(source: Path | bytes, per_byte: int) -> None:
+    """Charge ``per_byte`` bytes per byte of a _source that is a regular
+    file's path, before a reader parses it; bytes read from a pipe, whose
+    size was not known before the read, are not charged."""
+    if isinstance(source, Path):
+        size = source.stat().st_size
+        check_memory(per_byte * size, f"{source}: {size} bytes of text")
 
 
-def _read_lines(path: Path) -> np.ndarray:
-    """One number per line, parsed by numpy's C reader.
+def _read_lines(path: Path, source: Path | bytes) -> np.ndarray:
+    """One number per line of a _source, parsed by numpy's C reader.
 
     A file it rejects (or reads as more than one column) is read again a
     line at a time with str.splitlines and float, which accept a little
@@ -472,12 +468,11 @@ def _read_lines(path: Path) -> np.ndarray:
     first line that is not a number. Each read is charged first (see
     _charge_text).
     """
-    _charge_text(path, _PARSE_BYTES)
-    source = _source(path)
+    _charge_text(source, _PARSE_BYTES)
     table = _loadtxt(source, ndmin=2)
     if table is not None and table.shape[1] == 1:
         return table[:, 0]
-    _charge_text(path, _FALLBACK_BYTES)
+    _charge_text(source, _FALLBACK_BYTES)
     try:
         with _text(source) as fh:
             text = fh.read()
@@ -511,8 +506,8 @@ def _decode_outcomes(values: np.ndarray, source: str) -> np.ndarray:
     )
 
 
-def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
-    """The numbers in one column of a CSV file whose first row is a header.
+def _read_column(path: Path, source: Path | bytes, pick: Callable[[list[str]], str]) -> np.ndarray:
+    """The numbers in one column of a CSV _source whose first row is a header.
 
     ``pick(header)`` names the column or raises InputError; of duplicate
     names the last one counts, as with csv.DictReader. The rows after the
@@ -522,8 +517,7 @@ def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
     is not a number, is an InputError naming the line. Each read is charged
     first (see _charge_text).
     """
-    _charge_text(path, _PARSE_BYTES)
-    source = _source(path)
+    _charge_text(source, _PARSE_BYTES)
     with _text(source, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -532,7 +526,7 @@ def _read_column(path: Path, pick: Callable[[list[str]], str]) -> np.ndarray:
             i = {key: index for index, key in enumerate(header)}[name]
             values = _loadtxt(source, quotechar='"', skiprows=reader.line_num, usecols=i, ndmin=1)
             if values is None:
-                _charge_text(path, _FALLBACK_BYTES)
+                _charge_text(source, _FALLBACK_BYTES)
                 values = np.array([float(row[i]) for row in reader if row and row[i]])
             return values
         except UnicodeDecodeError as exc:
@@ -558,7 +552,7 @@ def read_prices(path: str | Path) -> np.ndarray:
             raise InputError(f"{path}: no 'price' column in header {header}")
         return match
 
-    prices = _read_column(path, pick)
+    prices = _read_column(path, _source(path), pick)
     if prices.size == 0:
         raise EmptyResult(f"{path}: no prices found")
     return prices

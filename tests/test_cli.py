@@ -6,6 +6,7 @@ import math
 import os
 import random
 import resource
+import stat
 import subprocess
 import sys
 import tempfile
@@ -617,6 +618,53 @@ class TestOutputFiles:
         assert out == '{"kstar": 0.2, "kn": 0.4, "kinf": 0.2, "kvec": [0.5, 0.3]}\n'
 
 
+class TestOutputTargets:
+    """--out follows a symlink, writes a FIFO in place and gives a file the
+    permission bits that open() or the file it replaces would. Each used to
+    be replaced by a regular file of mode 0600."""
+
+    def test_a_symlink_keeps_naming_its_target(self, capsys, tmp_path):
+        expected = run(capsys, *KELLY_3)[1]
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "result.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(Path("data", "result.json"))
+        assert run(capsys, *KELLY_3, "--out", str(link)) == (0, "", "")
+        assert os.readlink(link) == str(Path("data", "result.json"))
+        assert target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data", "link.json", "result.json"]
+
+    def test_a_fifo_is_written_in_place(self, capsys, tmp_path):
+        expected = run(capsys, *KELLY_3)[1]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # A reader that is open before the run, so the write need not wait.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(capsys, *KELLY_3, "--out", str(fifo)) == (0, "", "")
+            assert os.read(reader, 2**16) == expected.encode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_permission_bits(self, tmp_path, umask):
+        # The umask is set in a child, since it is the whole process's.
+        new, old = tmp_path / "new.json", tmp_path / "old.json"
+        old.write_text("old")
+        old.chmod(0o604)
+        for path in (new, old):
+            proc = run_buffered(
+                ["-m", "kelly_memory", *KELLY_3, f"--out={path}"],
+                preexec_fn=lambda: os.umask(umask),
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert new.read_text() == old.read_text()
+
+
 def render_outcome(render, record, fmt, precision):
     try:
         return render(record, fmt, precision)
@@ -770,6 +818,19 @@ class TestRejectedInput:
         code, out, err = run(capsys, *argv, "--omega", "0.55,0.2", "--history", "+1")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "GiB, over the 2 GiB budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("estimate", "F", "--m", "1"), ("estimate", "F", "--m", "1", "--column", "x"),
+         ("ingest", "F")],
+        ids=["estimate", "estimate-column", "ingest"],
+    )
+    def test_missing_input_file(self, capsys, tmp_path, monkeypatch, argv):
+        # The plain outcome list used to be reported in numpy's words,
+        # "error: F not found.".
+        monkeypatch.chdir(tmp_path)
+        message = f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'F'\n"
+        assert run(capsys, *argv) == (2, "", message)
 
     @pytest.mark.parametrize("price", ["inf", "nan"])
     def test_non_finite_price(self, capsys, tmp_path, price):

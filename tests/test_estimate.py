@@ -767,6 +767,15 @@ class TestPipedText:
         text, column = case
         self.assert_pipe_reads_as_the_file(estimate.read_outcomes, text, column)
 
+    @settings(deadline=None, max_examples=50)
+    @given(moves=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=50))
+    @example(moves=[1, -1, 1])
+    def test_a_moves_file_takes_the_byte_pass(self, moves):
+        # A pipe in ingest's format used to go to numpy's text reader.
+        text = "".join("+1\n" if x == 1 else "-1\n" for x in moves)
+        with mock.patch.object(estimate, "_loadtxt", refuse):
+            self.assert_pipe_reads_as_the_file(estimate.read_outcomes, text)
+
 
 def read_result(path):
     """read_outcomes' values with their dtype, or its error's class and whole message."""
@@ -792,7 +801,7 @@ class TestMovesFiles:
         tmp, path = in_file(data)
         with tmp:
             got = read_result(path)
-            with mock.patch.object(estimate, "_read_moves", lambda path: None):
+            with mock.patch.object(estimate, "_read_moves", lambda path, source: None):
                 assert got == read_result(path)
             try:
                 expected = outcome(bruteforce.read_outcomes, path)
@@ -829,18 +838,6 @@ class TestMovesFiles:
         path = tmp_path / "moves.txt"
         path.write_bytes(b"")
         assert read_result(path) == (EmptyResult, f"{path}: no outcome values found")
-
-    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_a_pipe_goes_to_the_line_reader(self):
-        # A pipe's size is not known before it is read, so it is not charged
-        # and read as a moves file; numpy's reader takes it.
-        read_end, write_end = os.pipe()
-        try:
-            os.write(write_end, b"+1\n-1\n+1\n")
-            os.close(write_end)
-            assert read_result(Path(f"/dev/fd/{read_end}")) == (np.int64, [1, -1, 1])
-        finally:
-            os.close(read_end)
 
 
 # The bytes a text reader charges per byte of a regular file: numpy's C

@@ -2,7 +2,7 @@
 every span the benchmark requires names a function it can trace, the
 README's library example runs and its bytes-per-path figure is the
 budget's charge, the input-contract test covers every export, and the
-mutation sweep and the output comparison in tools/ run."""
+mutation sweep, the output comparison and the line count in tools/ run."""
 
 import ast
 import importlib
@@ -232,4 +232,42 @@ def test_same_output_reports_a_changed_printed_constant(tmp_path, monkeypatch):
     ]
     assert same_output.first_difference(b"a\nb\n", b"a\nb\nc\n") == [
         "  old line 3: <no such line>", "  new line 3: c"
+    ]
+
+
+LINECOUNT_TOY = '''x = 1
+TEXT = """a string
+that is not a docstring"""
+
+
+def f(y):
+    return y + x
+'''
+LINECOUNT_DOCUMENTED = LINECOUNT_TOY.replace(
+    "x = 1\n", '"""A toy."""\n\nx = 1  # a comment after code\n'
+).replace("    return", '    """One line,\n    and two."""\n    # a comment\n    return')
+
+
+def test_linecount_counts_docstrings_and_comments_in_the_total_only(tmp_path, monkeypatch):
+    # tools/linecount.py gives each change's size. A docstring, a comment
+    # and a blank line move a module's total and leave its code-only count;
+    # a multi-line string that is not a docstring is code.
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    linecount = importlib.import_module("linecount")
+    trees = {"old": {"toy.py": LINECOUNT_TOY}, "new": {"toy.py": LINECOUNT_DOCUMENTED,
+                                                       "added.py": "y = 2\n"}}
+    for tree, modules in trees.items():
+        package = tmp_path / tree / "src" / "kelly_memory"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+    assert linecount.count(LINECOUNT_TOY) == (7, 5)
+    assert linecount.count(LINECOUNT_DOCUMENTED) == (12, 5)
+    out = io.StringIO()
+    assert linecount.main([str(tmp_path / "old"), str(tmp_path / "new")], out) == 0
+    assert [line.split() for line in out.getvalue().splitlines()] == [
+        ["module", "total", "old", "new", "diff", "code", "old", "new", "diff"],
+        ["added.py", "0", "1", "+1", "0", "1", "+1"],
+        ["toy.py", "7", "12", "+5", "5", "5", "+0"],
+        ["total", "7", "13", "+6", "5", "6", "+1"],
     ]
